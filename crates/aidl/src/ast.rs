@@ -6,11 +6,10 @@
 //! dialect (Figures 6–9) parse into the types here and compile into the
 //! record rules used by the Selective Record runtime.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// AIDL parameter direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Direction {
     /// Passed from client to service (the default).
     #[default]
@@ -22,7 +21,7 @@ pub enum Direction {
 }
 
 /// A method parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Direction qualifier.
     pub direction: Direction,
@@ -34,7 +33,7 @@ pub struct Param {
 }
 
 /// A target in a `@drop` list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DropTarget {
     /// The `this` keyword: the method being decorated.
     This,
@@ -55,7 +54,7 @@ impl fmt::Display for DropTarget {
 ///
 /// A bare `@record` records unconditionally. A block form may add drop
 /// lists, match signatures and a replay proxy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecordRule {
     /// Methods whose matching previous calls are removed when this method
     /// is called.
@@ -69,7 +68,7 @@ pub struct RecordRule {
 }
 
 /// One interface method, possibly decorated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodDef {
     /// Return type as written (`void`, `int`, `IBinder`, …).
     pub ret: String,
@@ -91,7 +90,7 @@ impl MethodDef {
 }
 
 /// A parsed interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceDef {
     /// Interface descriptor, e.g. `INotificationManager`.
     pub descriptor: String,

@@ -34,7 +34,6 @@
 //! them in order is a no-op, and they are rare in live logs.
 
 use crate::ast::{DropTarget, InterfaceDef, MethodDef, RecordRule};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -66,14 +65,14 @@ impl std::error::Error for CompileError {}
 /// `pairs[k] = (caller_idx, target_idx)`: argument `caller_idx` of the
 /// current call must equal argument `target_idx` of the candidate previous
 /// call for the signature to match. An empty pair list matches everything.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchSig {
     /// Index pairs that must be equal.
     pub pairs: Vec<(usize, usize)>,
 }
 
 /// A compiled `@drop` target.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledDrop {
     /// Name of the method whose previous calls are dropped.
     pub target: String,
@@ -84,7 +83,7 @@ pub struct CompiledDrop {
 }
 
 /// The compiled rule for one method.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledRule {
     /// Method name.
     pub method: String,
@@ -102,7 +101,7 @@ pub struct CompiledRule {
 }
 
 /// A fully compiled interface: rules for every method.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledInterface {
     /// Interface descriptor.
     pub descriptor: String,

@@ -8,11 +8,10 @@ use flux_kernel::{FdKind, Kernel, Prot, VmaKind};
 use flux_services::svc::window::WindowManagerService;
 use flux_services::{Delivery, Event, ServiceHost};
 use flux_simcore::{ByteSize, Pid, SimTime, Uid};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Resource footprint an app is launched with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppFootprint {
     /// Dalvik heap size.
     pub heap: ByteSize,
@@ -58,7 +57,7 @@ impl Default for AppFootprint {
 ///
 /// The hash is fixed when the write is buffered, so flushing at any later
 /// instant produces the same bytes the app promised at write time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingWrite {
     /// File name relative to the app data dir's `files/` subdirectory.
     pub name: String,

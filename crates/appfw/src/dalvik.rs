@@ -8,10 +8,9 @@
 
 use flux_kernel::{Process, Prot, VmaKind};
 use flux_simcore::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// The Dalvik VM state of one process.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dalvik {
     /// VMA id of the managed heap.
     pub heap_vma: Option<u64>,

@@ -10,10 +10,9 @@
 
 use flux_kernel::{Process, Prot, VmaKind};
 use flux_simcore::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// One EGL context with its GPU-resident state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EglContext {
     /// Context id.
     pub id: u32,
@@ -31,7 +30,7 @@ pub struct EglContext {
 }
 
 /// The app-side hardware renderer plus loaded GL libraries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GlState {
     /// Whether the generic `libEGL`/`libGLESv2` pair is loaded.
     pub generic_loaded: bool,

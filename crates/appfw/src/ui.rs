@@ -7,10 +7,8 @@
 //! hardware resources, and conditional re-initialisation redraws everything
 //! at the guest's resolution after restore.
 
-use serde::{Deserialize, Serialize};
-
 /// Activity lifecycle states (§2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActivityState {
     /// Foreground, interactive.
     Resumed,
@@ -21,7 +19,7 @@ pub enum ActivityState {
 }
 
 /// One activity of an app.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Activity {
     /// Component name, e.g. `".MainActivity"`.
     pub name: String,
@@ -32,7 +30,7 @@ pub struct Activity {
 }
 
 /// One view in the hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// View class, e.g. `"TextView"`.
     pub class: String,
@@ -41,7 +39,7 @@ pub struct View {
 }
 
 /// A view hierarchy rooted at a ViewRoot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViewRoot {
     /// Views in draw order.
     pub views: Vec<View>,

@@ -10,7 +10,6 @@
 use crate::error::BinderError;
 use crate::parcel::{ObjRef, Parcel, Value};
 use flux_simcore::{IdAlloc, Pid, Uid};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a Binder node (the service side of a connection).
@@ -21,7 +20,7 @@ pub type NodeId = u64;
 pub const SERVICE_MANAGER_HANDLE: u32 = 0;
 
 /// What a node is, from the driver's point of view.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
     /// A node backing a long-running service object (dispatched by a
     /// service host). `descriptor` is the AIDL interface name.
@@ -37,7 +36,7 @@ pub enum NodeKind {
 }
 
 /// A Binder node: an object that can receive transactions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Unique node id.
     pub id: NodeId,
@@ -52,7 +51,7 @@ pub struct Node {
 }
 
 /// One entry in a process's handle table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandleEntry {
     /// The node the handle refers to.
     pub node: NodeId,
@@ -65,7 +64,7 @@ pub struct HandleEntry {
 /// Handle 0 is reserved for the ServiceManager and is present implicitly,
 /// so fresh tables start allocating at handle 1 (`Default` included —
 /// a table whose `next` were 0 would hand out the ServiceManager handle).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HandleTable {
     entries: BTreeMap<u32, HandleEntry>,
     next: u32,
@@ -157,7 +156,7 @@ pub struct RoutedTransaction {
 }
 
 /// The Binder driver state for one kernel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BinderDriver {
     nodes: BTreeMap<NodeId, Node>,
     tables: BTreeMap<Pid, HandleTable>,

@@ -7,7 +7,6 @@
 //! transaction-cost and checkpoint-size models, and the codec is exercised
 //! by round-trip property tests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to a Binder object written into a parcel.
@@ -18,7 +17,7 @@ use std::fmt;
 /// how Binder references propagate (see §2 of the paper: "Communication to
 /// another Binder node cannot occur without first being given a reference to
 /// it").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjRef {
     /// A node owned by the sending process, identified by its node id.
     Own(u64),
@@ -27,7 +26,7 @@ pub enum ObjRef {
 }
 
 /// One typed value inside a [`Parcel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A 32-bit integer.
     I32(i32),
@@ -140,7 +139,7 @@ impl std::error::Error for ParcelError {}
 /// let bytes = p.encode();
 /// assert_eq!(Parcel::decode(&bytes).unwrap(), p);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Parcel {
     values: Vec<Value>,
 }

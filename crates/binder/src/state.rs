@@ -11,10 +11,9 @@
 use crate::driver::{BinderDriver, NodeId, NodeKind};
 use crate::error::BinderError;
 use flux_simcore::{Pid, Uid};
-use serde::{Deserialize, Serialize};
 
 /// Classification of one held reference, per §3.3's three connection types.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SavedTarget {
     /// A connection internal to the app: the node is owned by the app
     /// itself. Both ends are restored.
@@ -47,7 +46,7 @@ pub enum SavedTarget {
 }
 
 /// A handle table entry as captured at checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedHandle {
     /// The handle id visible to the app. Preserved exactly across restore.
     pub handle: u32,
@@ -58,7 +57,7 @@ pub struct SavedHandle {
 }
 
 /// A node the app itself owned at checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedNode {
     /// The node's label (service descriptor or app-local label).
     pub label: String,
@@ -68,7 +67,7 @@ pub struct SavedNode {
 }
 
 /// The complete per-process Binder state captured by CRIA.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SavedBinderState {
     /// Handles held by the process, ordered by handle id.
     pub handles: Vec<SavedHandle>,
@@ -183,7 +182,7 @@ pub fn capture(driver: &BinderDriver, pid: Pid) -> Result<SavedBinderState, Bind
 
 /// A handle left vacant by restore, to be filled by an Adaptive Replay
 /// proxy (connection objects like SensorEventConnections, §3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingConnection {
     /// The handle id the app expects the connection at.
     pub handle: u32,

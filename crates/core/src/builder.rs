@@ -271,8 +271,8 @@ mod tests {
         let (off, _) = build(false);
         assert_eq!(on.clock.now(), off.clock.now());
         assert!(!off.telemetry.is_enabled());
-        assert!(off.telemetry.events().is_empty());
-        assert!(!on.trace().is_empty());
+        assert!(off.telemetry.instants().is_empty());
+        assert!(!on.telemetry.instants().is_empty());
     }
 
     #[test]

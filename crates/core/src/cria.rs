@@ -11,7 +11,6 @@ use crate::record::CallLog;
 use flux_device::DeviceProfile;
 use flux_kernel::ProcessImage;
 use flux_simcore::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// Compression ratio achieved on checkpoint images (mixed dirty heap pages
 /// compress well; calibrated against the paper's ≤14 MB transfers).
@@ -21,7 +20,7 @@ pub const IMAGE_COMPRESS_RATIO: f64 = 0.47;
 pub const LOG_COMPRESS_RATIO: f64 = 0.35;
 
 /// Framework metadata needed to conditionally re-initialise on the guest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReinitSpec {
     /// GPU texture bytes per context to recreate.
     pub textures: ByteSize,

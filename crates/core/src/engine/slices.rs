@@ -1,5 +1,5 @@
 //! The engine's slice vocabulary: the stage-level [`Slice`] schedule an
-//! executed migration is cut into, the [`build_schedule`] cutter that
+//! executed migration is cut into, the `build_schedule` cutter that
 //! turns [`ExecProbe`](crate::probe::ExecProbe) windows into it, and the
 //! [`SliceCursor`] the fleet scheduler walks to re-time those slices on
 //! its timeline.

@@ -16,11 +16,10 @@
 use flux_aidl::{CompiledInterface, CompiledRule};
 use flux_binder::Parcel;
 use flux_simcore::{SimTime, Uid};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One recorded service call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallRecord {
     /// Monotonic sequence number within the app's log.
     pub seq: u64,
@@ -41,7 +40,7 @@ pub struct CallRecord {
 }
 
 /// Outcome of offering one call to the recorder.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordOutcome {
     /// Whether the call was appended to the log.
     pub recorded: bool,
@@ -53,7 +52,7 @@ pub struct RecordOutcome {
 }
 
 /// The per-app record log.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallLog {
     entries: Vec<CallRecord>,
     next_seq: u64,
@@ -196,7 +195,7 @@ impl CallLog {
 }
 
 /// Record logs for every app on a device, keyed by UID.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RecordStore {
     logs: BTreeMap<Uid, CallLog>,
 }

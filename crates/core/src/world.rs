@@ -19,7 +19,7 @@ use flux_net::NetworkEnv;
 use flux_services::svc::alarm::AlarmManagerService;
 use flux_services::svc::package::PackageManagerService;
 use flux_services::{boot_android, Delivery, ServiceHost, ServicesConfig};
-use flux_simcore::{ByteSize, CostModel, FaultPlan, SimClock, SimDuration, SimTime, Trace, Uid};
+use flux_simcore::{ByteSize, CostModel, FaultPlan, SimClock, SimDuration, SimTime, Uid};
 use flux_telemetry::{LaneId, Telemetry};
 use flux_workloads::{Action, AppSpec};
 use std::collections::{BTreeMap, BTreeSet};
@@ -179,12 +179,6 @@ pub struct FluxWorld {
 }
 
 impl FluxWorld {
-    /// The flat event log (compatibility accessor for code written against
-    /// the pre-telemetry `world.trace` field).
-    pub fn trace(&self) -> &Trace {
-        self.telemetry.events()
-    }
-
     /// Boots a device: kernel, system services, system partition.
     pub fn add_device(
         &mut self,

@@ -2,12 +2,11 @@
 
 use flux_net::{WifiAdapter, WifiStandard};
 use flux_simcore::ByteSize;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The devices used in the paper's evaluation, plus the Nexus 5 mentioned
 /// as the 802.11ac future.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceModel {
     /// LG Google Nexus 4 phone.
     Nexus4,
@@ -32,7 +31,7 @@ impl fmt::Display for DeviceModel {
 }
 
 /// GPU identity; determines which vendor OpenGL library is loaded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"Adreno 320"`.
     pub name: String,
@@ -43,7 +42,7 @@ pub struct GpuSpec {
 }
 
 /// Display geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScreenSpec {
     /// Width in pixels (portrait).
     pub width: u32,
@@ -67,7 +66,7 @@ impl ScreenSpec {
 /// hardware that was previously in use, e.g., GPS, the user is given the
 /// option to allow communication with that device to continue to take place
 /// over the network" (§3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HardwareInventory {
     /// GPS receiver present.
     pub gps: bool,
@@ -110,7 +109,7 @@ impl HardwareInventory {
 }
 
 /// A complete device profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Which device this is.
     pub model: DeviceModel,

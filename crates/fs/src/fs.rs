@@ -9,12 +9,11 @@
 //! (§4) can report "after hard linking" numbers.
 
 use flux_simcore::ByteSize;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Content identity of a file: size plus a collision-free hash stand-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Content {
     /// File size.
     pub size: ByteSize,
@@ -30,7 +29,7 @@ impl Content {
 }
 
 /// One file entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileEntry {
     /// Content identity.
     pub content: Content,
@@ -70,7 +69,7 @@ impl std::error::Error for FsError {}
 /// fs.write("/system/framework/framework.jar", Content::new(ByteSize::from_mib(6), 77));
 /// assert_eq!(fs.total_size("/system").as_mib_f64(), 6.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimFs {
     files: BTreeMap<String, FileEntry>,
 }

@@ -11,10 +11,9 @@
 
 use crate::fs::{FsError, SimFs};
 use flux_simcore::{ByteSize, CostModel, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// How one file was handled by a sync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileAction {
     /// Destination already had the identical file at the same path.
     UpToDate,
@@ -54,7 +53,7 @@ impl Default for SyncOptions {
 }
 
 /// The outcome of one sync run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SyncReport {
     /// Files examined on the source side.
     pub files_total: usize,

@@ -20,7 +20,6 @@ use flux_binder::state::{self, SavedBinderState};
 use flux_binder::BinderError;
 use flux_simcore::wire::{WireError, WireReader, WireWriter};
 use flux_simcore::{ByteSize, Pid, SimTime, Uid};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magic bytes identifying a CRIA image ("CRIA" in ASCII).
@@ -96,7 +95,7 @@ impl From<WireError> for CriuError {
 }
 
 /// A checkpointed VMA.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmaImage {
     /// What backed the mapping.
     pub kind: VmaKind,
@@ -113,7 +112,7 @@ pub struct VmaImage {
 }
 
 /// A checkpointed descriptor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FdImage {
     /// Descriptor number.
     pub fd: i32,
@@ -128,7 +127,7 @@ pub struct FdImage {
 /// the image stays cheap to hold in memory while [`ProcessImage::total_bytes`]
 /// still reports the full size a real CRIU dump would occupy (which is what
 /// the transfer model charges).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessImage {
     /// Package the process belonged to.
     pub package: String,

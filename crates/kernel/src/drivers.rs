@@ -11,7 +11,6 @@
 //! and thus covered by Selective Record/Adaptive Replay.
 
 use flux_simcore::{ByteSize, Pid, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
@@ -19,7 +18,7 @@ use std::collections::BTreeMap;
 // ---------------------------------------------------------------------------
 
 /// One named ashmem region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AshmemRegion {
     /// Region id (referenced by `FdKind::Ashmem` and `VmaKind::Ashmem`).
     pub id: u64,
@@ -32,7 +31,7 @@ pub struct AshmemRegion {
 }
 
 /// The ashmem driver: a registry of named shared-memory regions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Ashmem {
     regions: BTreeMap<u64, AshmemRegion>,
     next_id: u64,
@@ -87,7 +86,7 @@ impl Ashmem {
 // ---------------------------------------------------------------------------
 
 /// One physically contiguous pmem allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PmemAlloc {
     /// Allocation id.
     pub id: u64,
@@ -100,7 +99,7 @@ pub struct PmemAlloc {
 }
 
 /// The pmem driver: physically contiguous allocations for devices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Pmem {
     allocs: BTreeMap<u64, PmemAlloc>,
     next_id: u64,
@@ -156,7 +155,7 @@ impl Pmem {
 /// Only Android system services hold these (apps go through the
 /// PowerManagerService), so CRIA never needs to checkpoint them for an app;
 /// the PowerManagerService's record rules handle the app-visible part.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WakeLocks {
     held: BTreeMap<String, Pid>,
 }
@@ -195,7 +194,7 @@ impl WakeLocks {
 // ---------------------------------------------------------------------------
 
 /// Alarm clock types from the Android alarm driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlarmClockType {
     /// Wall-clock time; wakes the device.
     RtcWakeup,
@@ -208,7 +207,7 @@ pub enum AlarmClockType {
 }
 
 /// One pending kernel alarm.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelAlarm {
     /// Alarm cookie.
     pub id: u64,
@@ -221,7 +220,7 @@ pub struct KernelAlarm {
 }
 
 /// The alarm driver: schedules absolute-time alarms that can wake the device.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AlarmDriver {
     alarms: BTreeMap<u64, KernelAlarm>,
     next_id: u64,
@@ -273,7 +272,7 @@ impl AlarmDriver {
 // ---------------------------------------------------------------------------
 
 /// One log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     /// Emitting process.
     pub pid: Pid,
@@ -290,7 +289,7 @@ pub struct LogEntry {
 /// "The device is used like any regular file and does not persist
 /// per-process state" (§3.3) — so CRIA needs no special handling; entries
 /// from a migrated app are simply left behind on the home device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Logger {
     buffers: BTreeMap<String, Vec<LogEntry>>,
     capacity: usize,

@@ -7,12 +7,11 @@
 //! original descriptor number (§3.2), so descriptor numbers must be
 //! reservable.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// What an open descriptor refers to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FdKind {
     /// A regular file on some filesystem.
     File {
@@ -106,7 +105,7 @@ impl std::error::Error for FdError {}
 /// A process's descriptor table.
 ///
 /// Descriptors 0–2 (stdio) are implicit and not tracked.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FdTable {
     fds: BTreeMap<i32, FdKind>,
 }

@@ -9,7 +9,6 @@ use crate::ns::{Namespaces, NsError};
 use crate::process::{ProcState, Process};
 use flux_binder::BinderDriver;
 use flux_simcore::{IdAlloc, Pid, Uid};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,7 +48,7 @@ impl From<flux_binder::BinderError> for KernelError {
 }
 
 /// The kernel of one simulated device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     /// Kernel release, e.g. `"3.1"` (Nexus 7 2012) or `"3.4"` (Nexus 7
     /// 2013). Flux migrates across different kernel versions; CRIA's image

@@ -7,13 +7,12 @@
 //! Flux's preparation stage before checkpointing can proceed.
 
 use flux_simcore::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// The simulated page size (4 KiB, as on all the paper's devices).
 pub const PAGE_SIZE: u64 = 4096;
 
 /// What backs a VMA.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VmaKind {
     /// Anonymous memory: Dalvik heap, malloc arenas.
     Anon,
@@ -82,7 +81,7 @@ impl VmaKind {
 }
 
 /// Memory protection bits of a VMA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prot {
     /// Readable.
     pub r: bool,
@@ -114,7 +113,7 @@ impl Prot {
 }
 
 /// One virtual memory area.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vma {
     /// Stable id within the process.
     pub id: u64,
@@ -148,7 +147,7 @@ impl Vma {
 }
 
 /// The address space of a process: an ordered set of VMAs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AddressSpace {
     vmas: Vec<Vma>,
     next_id: u64,

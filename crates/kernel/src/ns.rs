@@ -7,7 +7,6 @@
 //! app observes (virtual) to the kernel's real PIDs.
 
 use flux_simcore::Pid;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,7 +38,7 @@ impl fmt::Display for NsError {
 impl std::error::Error for NsError {}
 
 /// One private PID namespace.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PidNamespace {
     /// Namespace id.
     pub id: u64,
@@ -72,7 +71,7 @@ impl PidNamespace {
 }
 
 /// Registry of PID namespaces in one kernel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Namespaces {
     spaces: BTreeMap<u64, PidNamespace>,
     next_id: u64,

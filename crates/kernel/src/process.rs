@@ -3,10 +3,9 @@
 use crate::fd::FdTable;
 use crate::mem::AddressSpace;
 use flux_simcore::{ByteSize, Pid, Uid};
-use serde::{Deserialize, Serialize};
 
 /// A thread of a simulated process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Thread {
     /// Thread id (thread-group-local).
     pub tid: u32,
@@ -30,7 +29,7 @@ impl Thread {
 
 /// Run state of a process, mirroring the Android activity host states that
 /// matter for migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcState {
     /// Scheduled normally.
     Running,
@@ -39,7 +38,7 @@ pub enum ProcState {
 }
 
 /// One simulated process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Process {
     /// Kernel-global PID.
     pub real_pid: Pid,

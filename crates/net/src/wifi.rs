@@ -1,13 +1,12 @@
 //! WiFi adapters and the device-to-device transfer model.
 
 use flux_simcore::{ByteSize, FaultPlan, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Default chunk size for acknowledged, resumable transfers.
 pub const DEFAULT_CHUNK: ByteSize = ByteSize::from_kib(256);
 
 /// 802.11 standard of an adapter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WifiStandard {
     /// 802.11n (all devices in the paper's evaluation).
     N,
@@ -16,7 +15,7 @@ pub enum WifiStandard {
 }
 
 /// Radio band an association uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Band {
     /// 2.4 GHz — "extremely congested" on the paper's campus network.
     Ghz2_4,
@@ -25,7 +24,7 @@ pub enum Band {
 }
 
 /// One device's WiFi adapter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WifiAdapter {
     /// Link standard.
     pub standard: WifiStandard,
@@ -48,7 +47,7 @@ impl WifiAdapter {
 }
 
 /// Statistics of one completed transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferStats {
     /// Bytes moved.
     pub bytes: ByteSize,
@@ -279,7 +278,7 @@ fn derived_goodput(bytes: ByteSize, air: SimDuration) -> f64 {
 }
 
 /// How a chunked transfer attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChunkedOutcome {
     /// Every remaining chunk was delivered and acknowledged.
     Complete,
@@ -292,7 +291,7 @@ pub enum ChunkedOutcome {
 }
 
 /// One delivered chunk of a chunked transfer, for telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkEvent {
     /// Virtual time the chunk started transmitting.
     pub at: SimTime,
@@ -322,7 +321,7 @@ pub struct ChunkEvent {
 /// therefore reproduces the payload exactly once — nothing is double- or
 /// under-reported. The `flux.net.*` counters accumulate the per-attempt
 /// fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedTransfer {
     /// Chunks in the whole payload (cumulative scope).
     pub total_chunks: usize,

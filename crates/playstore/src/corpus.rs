@@ -1,7 +1,6 @@
 //! Corpus generation and analysis.
 
 use flux_simcore::{ByteSize, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of apps PlayDrone downloaded for the paper (§4).
 pub const PAPER_CORPUS_SIZE: usize = 488_259;
@@ -22,7 +21,7 @@ pub(crate) const SIZE_SIGMA: f64 = 2.2393;
 ///
 /// Package names are derived from the id on demand, keeping half a million
 /// entries cheap to hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlayApp {
     /// Stable corpus id.
     pub id: u32,

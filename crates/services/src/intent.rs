@@ -6,7 +6,6 @@
 //! to the target app's process.
 
 use flux_simcore::{SimTime, Uid};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Well-known broadcast action delivered on connectivity changes; Flux's
@@ -19,7 +18,7 @@ pub const ACTION_CONNECTIVITY_CHANGE: &str = "android.net.conn.CONNECTIVITY_CHAN
 pub const ACTION_CONFIGURATION_CHANGED: &str = "android.intent.action.CONFIGURATION_CHANGED";
 
 /// A messaging object used to request an action from another component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Intent {
     /// Action string, e.g. [`ACTION_CONNECTIVITY_CHANGE`].
     pub action: String,
@@ -67,7 +66,7 @@ impl fmt::Display for Intent {
 }
 
 /// An event produced by a system service for an app.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// A broadcast intent matched one of the app's receivers.
     Broadcast {
@@ -100,7 +99,7 @@ pub enum Event {
 }
 
 /// An event queued for delivery to an app.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery {
     /// The app (by UID) that should receive the event.
     pub to_uid: Uid,

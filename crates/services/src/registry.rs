@@ -8,11 +8,10 @@
 //! [`crate::sensor_native`].
 
 use flux_aidl::{compile, parse_one, CompiledInterface};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Whether a service fronts hardware (Table 2 splits the listing in two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceClass {
     /// Manages a hardware device.
     Hardware,
@@ -195,7 +194,7 @@ pub const REGISTRY: &[ServiceSpec] = &[
 ];
 
 /// A Table 2 row computed from the registry sources.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table2Row {
     /// Service label.
     pub service: String,

@@ -9,14 +9,13 @@
 //! ≈ 1.4 s; see EXPERIMENTS.md).
 
 use crate::{ByteSize, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Per-unit CPU costs for the migration pipeline, for a reference device.
 ///
 /// Actual devices scale these by their [`CostModel::cpu_scale`] factor
 /// (e.g. the 2012 Nexus 7's Tegra 3 is slower than the 2013 model's
 /// Snapdragon S4 Pro).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Relative CPU speed; 1.0 is the reference (Nexus 7 2013 class).
     pub cpu_scale: f64,

@@ -9,11 +9,10 @@
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of an injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The WiFi link drops instantaneously; any transfer in flight loses
     /// its current chunk and must reconnect.
@@ -38,7 +37,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Virtual time at which the fault begins.
     pub at: SimTime,
@@ -60,7 +59,7 @@ impl FaultEvent {
 
 /// Poisson rates (events per virtual second) for each fault kind, plus the
 /// horizon the schedule covers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Length of virtual time the plan covers from t = 0.
     pub horizon: SimDuration,
@@ -107,7 +106,7 @@ impl FaultConfig {
 /// assert_eq!(plan.events(), again.events());
 /// assert!(FaultPlan::none().is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -4,16 +4,13 @@
 //! process model and the system services, so they live here at the bottom of
 //! the crate graph.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A process identifier.
 ///
 /// Inside a restored app these stay stable across migration because CRIA
 /// launches the wrapper app in a private PID namespace (§3.1 of the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pid(pub u32);
 
 impl fmt::Display for Pid {
@@ -23,9 +20,7 @@ impl fmt::Display for Pid {
 }
 
 /// A user identifier. Android assigns one UID per installed app.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Uid(pub u32);
 
 impl Uid {

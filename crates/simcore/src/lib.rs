@@ -12,8 +12,8 @@
 //! * [`SimRng`] — a seedable RNG so workload noise is deterministic.
 //! * [`CostModel`] — per-operation CPU/serialisation cost parameters used by
 //!   the checkpoint, restore and replay paths.
-//! * [`trace`] — a lightweight event trace used by tests and the benchmark
-//!   harnesses to explain where time went.
+//! * [`TraceKind`] — the class (generic/fault/retry/rollback) of a traced
+//!   event; the event log itself is `flux-telemetry`'s.
 //! * [`fault`] — seeded [`FaultPlan`] schedules of link drops, congestion
 //!   spikes and kernel stalls that the transfer and migration paths consult
 //!   when fault injection is enabled.
@@ -38,7 +38,7 @@ pub use pipeline::{FusedLanes, PipeLane, Pipeline, Timeline};
 pub use rng::{SimRng, SimRngState};
 pub use size::ByteSize;
 pub use time::{SimClock, SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::TraceKind;
 pub use wire::{WireError, WireReader, WireWriter};
 
 /// A monotonically increasing id allocator.
@@ -53,7 +53,7 @@ pub use wire::{WireError, WireReader, WireWriter};
 /// assert_eq!(ids.next(), 100);
 /// assert_eq!(ids.next(), 101);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IdAlloc {
     next: u64,
 }

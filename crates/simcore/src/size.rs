@@ -1,6 +1,5 @@
 //! Byte sizes for APKs, checkpoint images, VMAs and transfers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -20,9 +19,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// assert_eq!(apk.as_u64(), 43 * 1024 * 1024);
 /// assert_eq!(format!("{apk}"), "43.0 MB");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 /// Serializes as raw bytes.

@@ -1,20 +1,6 @@
-//! A lightweight event trace.
-//!
-//! Migration experiments want to explain *where* virtual time went (Figure
-//! 13's stage breakdown). Components append [`TraceEvent`]s as they work and
-//! the harnesses aggregate them afterwards.
-//!
-//! Since the `flux-telemetry` crate landed, [`Trace`] is the flat *event
-//! log* layer of the observability stack: `flux_telemetry::Telemetry`
-//! embeds one and mirrors every instant event into it, so code written
-//! against `events()` / `events_in()` / `events_of_kind()` keeps working
-//! unchanged. New instrumentation should prefer the span and metrics APIs
-//! in `flux-telemetry`; this type stays dependency-free so `simcore` does
-//! not grow an upward edge in the crate graph.
-
-use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
-use std::fmt;
+//! The class of a traced event. The event log itself is
+//! `flux_telemetry::Telemetry::instants`, where every instant event
+//! carries one of these kinds.
 
 /// What class of event a trace entry records.
 ///
@@ -22,7 +8,7 @@ use std::fmt;
 /// apart from ordinary progress events, so harnesses can balance the books
 /// (time charged = stage time + backoff + stall time) without parsing
 /// detail strings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceKind {
     /// Ordinary progress event.
     #[default]
@@ -33,243 +19,4 @@ pub enum TraceKind {
     Retry,
     /// A failed migration is being rolled back to the home device.
     Rollback,
-}
-
-/// One traced event: a timestamp, a kind, a category and a human-readable
-/// detail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Virtual time at which the event occurred.
-    pub at: SimTime,
-    /// Event class, for typed filtering.
-    pub kind: TraceKind,
-    /// Dot-separated category, e.g. `"migration.checkpoint"`.
-    pub category: String,
-    /// Free-form detail for humans and tests.
-    pub detail: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.at, self.category, self.detail)
-    }
-}
-
-/// An append-only trace of simulation events.
-///
-/// # Examples
-///
-/// ```
-/// use flux_simcore::{SimTime, Trace};
-///
-/// let mut trace = Trace::new();
-/// trace.emit(SimTime::from_millis(5), "binder.transact", "code=1");
-/// assert_eq!(trace.events_in("binder").count(), 1);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Trace {
-    events: Vec<TraceEvent>,
-    enabled: bool,
-    /// Optional cap on `events.len()`; `None` means unbounded.
-    capacity: Option<usize>,
-    /// Events discarded because the cap was reached.
-    dropped: u64,
-}
-
-impl Trace {
-    /// Creates an enabled, empty, unbounded trace.
-    pub fn new() -> Self {
-        Self {
-            events: Vec::new(),
-            enabled: true,
-            capacity: None,
-            dropped: 0,
-        }
-    }
-
-    /// Creates a disabled trace that drops all events (for benchmarks).
-    pub fn disabled() -> Self {
-        Self {
-            events: Vec::new(),
-            enabled: false,
-            capacity: None,
-            dropped: 0,
-        }
-    }
-
-    /// Caps the trace at `limit` events (`None` restores unbounded growth).
-    ///
-    /// Long fault-sweep runs emit millions of chunk/fault events; a cap
-    /// keeps memory flat while [`Trace::dropped`] keeps the books honest.
-    /// Events already recorded beyond a newly lowered cap are kept.
-    pub fn set_capacity(&mut self, limit: Option<usize>) {
-        self.capacity = limit;
-    }
-
-    /// The configured capacity, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Number of events discarded because the capacity was reached.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Appends a [`TraceKind::Generic`] event if tracing is enabled.
-    /// Returns whether the event was recorded.
-    pub fn emit(&mut self, at: SimTime, category: &str, detail: impl Into<String>) -> bool {
-        self.emit_kind(at, TraceKind::Generic, category, detail)
-    }
-
-    /// Appends an event of an explicit kind if tracing is enabled and the
-    /// capacity (if set) has not been reached. Returns whether the event
-    /// was recorded; a `false` from an enabled trace means it was dropped
-    /// and counted in [`Trace::dropped`].
-    pub fn emit_kind(
-        &mut self,
-        at: SimTime,
-        kind: TraceKind,
-        category: &str,
-        detail: impl Into<String>,
-    ) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        if let Some(cap) = self.capacity {
-            if self.events.len() >= cap {
-                self.dropped += 1;
-                return false;
-            }
-        }
-        self.events.push(TraceEvent {
-            at,
-            kind,
-            category: category.to_owned(),
-            detail: detail.into(),
-        });
-        true
-    }
-
-    /// All events, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events whose category starts with `prefix`.
-    pub fn events_in<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events
-            .iter()
-            .filter(move |e| e.category.starts_with(prefix))
-    }
-
-    /// Events of one [`TraceKind`].
-    pub fn events_of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Discards all recorded events and resets the dropped counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn emit_and_filter_by_prefix() {
-        let mut t = Trace::new();
-        t.emit(SimTime::ZERO, "migration.prep", "background");
-        t.emit(SimTime::from_millis(1), "migration.checkpoint", "4 MB");
-        t.emit(SimTime::from_millis(2), "binder.transact", "code=3");
-        assert_eq!(t.events_in("migration").count(), 2);
-        assert_eq!(t.events_in("binder").count(), 1);
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn disabled_trace_drops_events() {
-        let mut t = Trace::disabled();
-        t.emit(SimTime::ZERO, "x", "y");
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn display_is_readable() {
-        let e = TraceEvent {
-            at: SimTime::from_millis(1500),
-            kind: TraceKind::Generic,
-            category: "a.b".into(),
-            detail: "c".into(),
-        };
-        assert_eq!(e.to_string(), "[1.500s] a.b: c");
-    }
-
-    #[test]
-    fn kinds_filter_typed_events() {
-        let mut t = Trace::new();
-        t.emit(SimTime::ZERO, "migration.prep", "ok");
-        t.emit_kind(
-            SimTime::from_millis(1),
-            TraceKind::Fault,
-            "net.fault",
-            "link-drop",
-        );
-        t.emit_kind(
-            SimTime::from_millis(2),
-            TraceKind::Retry,
-            "migration.retry",
-            "attempt 2",
-        );
-        t.emit_kind(
-            SimTime::from_millis(3),
-            TraceKind::Rollback,
-            "migration.rollback",
-            "home",
-        );
-        assert_eq!(t.events_of_kind(TraceKind::Generic).count(), 1);
-        assert_eq!(t.events_of_kind(TraceKind::Fault).count(), 1);
-        assert_eq!(t.events_of_kind(TraceKind::Retry).count(), 1);
-        assert_eq!(t.events_of_kind(TraceKind::Rollback).count(), 1);
-    }
-
-    #[test]
-    fn capacity_drops_and_counts_overflow() {
-        let mut t = Trace::new();
-        t.set_capacity(Some(2));
-        assert!(t.emit(SimTime::ZERO, "a", "1"));
-        assert!(t.emit(SimTime::from_millis(1), "b", "2"));
-        assert!(!t.emit(SimTime::from_millis(2), "c", "3"));
-        assert!(!t.emit(SimTime::from_millis(3), "d", "4"));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 2);
-        assert_eq!(t.capacity(), Some(2));
-        t.clear();
-        assert_eq!(t.dropped(), 0);
-        assert!(t.emit(SimTime::from_millis(4), "e", "5"));
-    }
-
-    #[test]
-    fn unbounded_trace_never_drops() {
-        let mut t = Trace::new();
-        for i in 0..1_000 {
-            assert!(t.emit(SimTime::from_millis(i), "spam", "x"));
-        }
-        assert_eq!(t.len(), 1_000);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.capacity(), None);
-    }
 }

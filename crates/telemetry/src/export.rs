@@ -5,12 +5,14 @@
 //! instant events are written in emission order and metrics in name order,
 //! so two runs with the same seed produce byte-identical output. Call
 //! [`Telemetry::finish`] before exporting so no span is left open (open
-//! spans export with zero duration).
+//! spans export with zero duration). The JSON exporters write through the
+//! vendored `serde` codec, which escapes every string and renders every
+//! gauge; [`serde::parse`] reads their output back.
 
-use crate::json::{escape, JsonValue};
-use crate::metrics::Metric;
-use crate::Telemetry;
+use crate::metrics::{Histogram, Metric, MetricsRegistry};
+use crate::{InstantEvent, Span, Telemetry};
 use flux_simcore::{SimDuration, TraceKind};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Span-name prefix shared by every migration stage span. The suffix is
@@ -63,8 +65,31 @@ fn kind_str(kind: TraceKind) -> &'static str {
 /// Nanoseconds rendered as a JSON microsecond literal with fixed
 /// sub-microsecond precision (`1234567` ns → `1234.567`), the unit Chrome's
 /// `about://tracing` expects.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+struct Micros(u64);
+
+impl Serialize for Micros {
+    fn serialize(&self, out: &mut String) {
+        let _ = write!(out, "{}.{:03}", self.0 / 1_000, self.0 % 1_000);
+    }
+}
+
+/// A one-member object, the shape of a Chrome event's `args`.
+struct Arg<'a>(&'static str, &'a str);
+
+impl Serialize for Arg<'_> {
+    fn serialize(&self, out: &mut String) {
+        let mut obj = serde::object(out);
+        obj.field(self.0, self.1);
+        obj.end();
+    }
+}
+
+/// Opens the next object in the `traceEvents` array.
+fn event(out: &mut String) -> serde::ObjectWriter<'_> {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    serde::object(out)
 }
 
 /// Exports the hub as Chrome `about://tracing` JSON.
@@ -75,49 +100,37 @@ fn us(ns: u64) -> String {
 /// chrome://tracing or <https://ui.perfetto.dev>.
 pub fn chrome_trace(tele: &Telemetry) -> String {
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push_str(&ev);
-    };
-    for (i, lane) in tele.lanes().iter().enumerate() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{i},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(lane)
-            ),
-        );
+    for (pid, lane) in tele.lanes().iter().enumerate() {
+        let mut ev = event(&mut out);
+        ev.field("name", "process_name")
+            .field("ph", "M")
+            .field("pid", &pid)
+            .field("tid", &0)
+            .field("args", &Arg("name", lane));
+        ev.end();
     }
     for span in tele.spans() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":0}}",
-                escape(&span.name),
-                us(span.start.as_nanos()),
-                us(span.duration().as_nanos()),
-                span.lane.0
-            ),
-        );
+        let mut ev = event(&mut out);
+        ev.field("name", &span.name)
+            .field("cat", "span")
+            .field("ph", "X")
+            .field("ts", &Micros(span.start.as_nanos()))
+            .field("dur", &Micros(span.duration().as_nanos()))
+            .field("pid", &span.lane.0)
+            .field("tid", &0);
+        ev.end();
     }
-    for ev in tele.instants() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                 \"pid\":{},\"tid\":0,\"args\":{{\"detail\":\"{}\"}}}}",
-                escape(&ev.name),
-                kind_str(ev.kind),
-                us(ev.at.as_nanos()),
-                ev.lane.0,
-                escape(&ev.detail)
-            ),
-        );
+    for instant in tele.instants() {
+        let mut ev = event(&mut out);
+        ev.field("name", &instant.name)
+            .field("cat", kind_str(instant.kind))
+            .field("ph", "i")
+            .field("s", "t")
+            .field("ts", &Micros(instant.at.as_nanos()))
+            .field("pid", &instant.lane.0)
+            .field("tid", &0)
+            .field("args", &Arg("detail", &instant.detail));
+        ev.end();
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
@@ -125,111 +138,78 @@ pub fn chrome_trace(tele: &Telemetry) -> String {
 
 /// Exports the hub as a plain JSON snapshot: lanes, spans, instant events
 /// and metrics. Used by benches and golden tests; parse it back with
-/// [`crate::json::parse`].
+/// [`serde::parse`].
 pub fn json_snapshot(tele: &Telemetry) -> String {
-    let spans = tele
-        .spans()
-        .iter()
-        .map(|s| {
-            JsonValue::Obj(vec![
-                ("name".into(), JsonValue::Str(s.name.clone())),
-                ("lane".into(), JsonValue::Num(s.lane.0.to_string())),
-                (
-                    "parent".into(),
-                    s.parent
-                        .map(|p| JsonValue::Num(p.0.to_string()))
-                        .unwrap_or(JsonValue::Null),
-                ),
-                (
-                    "start_ns".into(),
-                    JsonValue::Num(s.start.as_nanos().to_string()),
-                ),
-                (
-                    "end_ns".into(),
-                    s.end
-                        .map(|e| JsonValue::Num(e.as_nanos().to_string()))
-                        .unwrap_or(JsonValue::Null),
-                ),
-            ])
-        })
-        .collect();
-    let instants = tele
-        .instants()
-        .iter()
-        .map(|e| {
-            JsonValue::Obj(vec![
-                ("at_ns".into(), JsonValue::Num(e.at.as_nanos().to_string())),
-                ("lane".into(), JsonValue::Num(e.lane.0.to_string())),
-                ("kind".into(), JsonValue::Str(kind_str(e.kind).into())),
-                ("name".into(), JsonValue::Str(e.name.clone())),
-                ("detail".into(), JsonValue::Str(e.detail.clone())),
-            ])
-        })
-        .collect();
-    let metrics = tele
-        .metrics()
-        .iter()
-        .map(|(name, metric)| {
-            let v = match metric {
-                Metric::Counter(c) => JsonValue::Num(c.to_string()),
-                Metric::Gauge(g) => JsonValue::Num(fmt_f64(*g)),
-                Metric::Histogram(h) => JsonValue::Obj(vec![
-                    (
-                        "bounds".into(),
-                        JsonValue::Arr(
-                            h.bounds()
-                                .iter()
-                                .map(|b| JsonValue::Num(b.to_string()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "counts".into(),
-                        JsonValue::Arr(
-                            h.counts()
-                                .iter()
-                                .map(|c| JsonValue::Num(c.to_string()))
-                                .collect(),
-                        ),
-                    ),
-                    ("count".into(), JsonValue::Num(h.count().to_string())),
-                    ("sum".into(), JsonValue::Num(h.sum().to_string())),
-                ]),
-            };
-            (name.to_owned(), v)
-        })
-        .collect();
-    JsonValue::Obj(vec![
-        (
-            "lanes".into(),
-            JsonValue::Arr(
-                tele.lanes()
-                    .iter()
-                    .map(|l| JsonValue::Str(l.clone()))
-                    .collect(),
-            ),
-        ),
-        ("spans".into(), JsonValue::Arr(spans)),
-        ("instants".into(), JsonValue::Arr(instants)),
-        ("metrics".into(), JsonValue::Obj(metrics)),
-        (
-            "dropped_events".into(),
-            JsonValue::Num(tele.dropped_events().to_string()),
-        ),
-    ])
-    .to_string()
+    let mut out = String::new();
+    let mut obj = serde::object(&mut out);
+    obj.field("lanes", tele.lanes())
+        .field("spans", tele.spans())
+        .field("instants", tele.instants())
+        .field("metrics", tele.metrics())
+        .field("dropped_events", &tele.dropped_events());
+    obj.end();
+    out
 }
 
-/// Deterministic `f64` rendering: Rust's shortest-round-trip formatting,
-/// with a `.0` appended to integral values so the output stays a JSON
-/// float. Identical bits render identically, which is all byte-stability
-/// needs.
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains(['.', 'e', 'E', 'n', 'i']) {
-        s
-    } else {
-        format!("{s}.0")
+/// Snapshot form: `{"name", "lane", "parent", "start_ns", "end_ns"}`, with
+/// `null` for a missing parent or a still-open end.
+impl Serialize for Span {
+    fn serialize(&self, out: &mut String) {
+        let mut obj = serde::object(out);
+        obj.field("name", &self.name)
+            .field("lane", &self.lane.0)
+            .field("parent", &self.parent.map(|p| p.0))
+            .field("start_ns", &self.start)
+            .field("end_ns", &self.end);
+        obj.end();
+    }
+}
+
+/// Snapshot form: `{"at_ns", "lane", "kind", "name", "detail"}`.
+impl Serialize for InstantEvent {
+    fn serialize(&self, out: &mut String) {
+        let mut obj = serde::object(out);
+        obj.field("at_ns", &self.at)
+            .field("lane", &self.lane.0)
+            .field("kind", kind_str(self.kind))
+            .field("name", &self.name)
+            .field("detail", &self.detail);
+        obj.end();
+    }
+}
+
+/// One object member per metric, in name order.
+impl Serialize for MetricsRegistry {
+    fn serialize(&self, out: &mut String) {
+        let mut obj = serde::object(out);
+        for (name, metric) in self.iter() {
+            obj.field(name, metric);
+        }
+        obj.end();
+    }
+}
+
+/// A counter as its integer, a gauge as a float (`null` when not finite),
+/// a histogram as its buckets and totals.
+impl Serialize for Metric {
+    fn serialize(&self, out: &mut String) {
+        match self {
+            Metric::Counter(c) => c.serialize(out),
+            Metric::Gauge(g) => serde::write_f64(out, *g),
+            Metric::Histogram(h) => h.serialize(out),
+        }
+    }
+}
+
+/// `{"bounds", "counts", "count", "sum"}`.
+impl Serialize for Histogram {
+    fn serialize(&self, out: &mut String) {
+        let mut obj = serde::object(out);
+        obj.field("bounds", self.bounds())
+            .field("counts", self.counts())
+            .field("count", &self.count())
+            .field("sum", &self.sum());
+        obj.end();
     }
 }
 
@@ -319,9 +299,9 @@ impl MigrationProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use crate::LaneId;
     use flux_simcore::SimTime;
+    use serde::JsonValue;
 
     fn hub() -> Telemetry {
         let mut tele = Telemetry::new();
@@ -345,7 +325,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_lane_processes() {
         let tele = hub();
-        let doc = json::parse(&chrome_trace(&tele)).expect("valid json");
+        let doc = serde::parse(&chrome_trace(&tele)).expect("valid json");
         let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
         // 2 process_name metadata + 1 span + 1 instant.
         assert_eq!(events.len(), 4);
@@ -363,21 +343,21 @@ mod tests {
     fn snapshot_round_trips_and_is_stable() {
         let tele = hub();
         let snap = json_snapshot(&tele);
-        let parsed = json::parse(&snap).expect("valid json");
-        assert_eq!(parsed.to_string(), snap);
+        let parsed = serde::parse(&snap).expect("valid json");
+        assert_eq!(serde::to_json(&parsed), snap);
         assert_eq!(json_snapshot(&hub()), snap);
         let metrics = parsed.get("metrics").unwrap();
         assert_eq!(
             metrics.get("flux.net.goodput_mbps"),
-            Some(&json::JsonValue::Num("12.5".into()))
+            Some(&JsonValue::Num("12.5".into()))
         );
     }
 
     #[test]
     fn disabled_hub_exports_empty_but_valid_documents() {
         let tele = Telemetry::disabled();
-        assert!(json::parse(&chrome_trace(&tele)).is_ok());
-        let snap = json::parse(&json_snapshot(&tele)).unwrap();
+        assert!(serde::parse(&chrome_trace(&tele)).is_ok());
+        let snap = serde::parse(&json_snapshot(&tele)).unwrap();
         assert_eq!(snap.get("spans").unwrap().as_arr().unwrap().len(), 0);
     }
 
@@ -395,11 +375,23 @@ mod tests {
 
     #[test]
     fn gauge_rendering_marks_integral_values_as_floats() {
-        assert_eq!(fmt_f64(42.0), "42.0");
-        assert_eq!(fmt_f64(42.25), "42.25");
         let mut tele = Telemetry::new();
         tele.gauge_set("flux.x", 3.0);
-        assert!(json_snapshot(&tele).contains("\"flux.x\":3.0"));
+        tele.gauge_set("flux.y", 42.25);
+        let snap = json_snapshot(&tele);
+        assert!(snap.contains("\"flux.x\":3.0,\"flux.y\":42.25"));
+    }
+
+    #[test]
+    fn non_finite_gauges_snapshot_as_null_and_parse_back() {
+        let mut tele = Telemetry::new();
+        tele.gauge_set("flux.nan", f64::NAN);
+        tele.gauge_set("flux.inf", f64::INFINITY);
+        let snap = serde::parse(&json_snapshot(&tele)).expect("valid json");
+        let metrics = snap.get("metrics").unwrap();
+        assert_eq!(metrics.get("flux.nan"), Some(&JsonValue::Null));
+        assert_eq!(metrics.get("flux.inf"), Some(&JsonValue::Null));
+        assert!(metrics.read::<f64>("flux.inf").unwrap().is_nan());
     }
 
     #[test]

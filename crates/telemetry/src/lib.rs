@@ -5,9 +5,8 @@
 //! crate provides the machinery to answer that from one instrumented run:
 //!
 //! * [`Telemetry`] — the per-world hub: hierarchical **spans** over virtual
-//!   time (enter/exit with parent links, one lane per simulated device),
-//!   lane-attributed **instant events**, and a flat event log that stays
-//!   API-compatible with the original `flux_simcore::Trace`.
+//!   time (enter/exit with parent links, one lane per simulated device)
+//!   and lane-attributed **instant events**, the run's event log.
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms
 //!   under the `flux.<crate>.<name>` naming scheme, held in a `BTreeMap`
 //!   so snapshot iteration order — and therefore exporter output — is
@@ -15,9 +14,9 @@
 //! * [`export`] — three exporters: Chrome `about://tracing` JSON
 //!   ([`export::chrome_trace`]), a per-stage migration profile table
 //!   ([`export::MigrationProfile`]) and a plain JSON snapshot
-//!   ([`export::json_snapshot`]) for benches and golden tests.
-//! * [`json`] — a minimal JSON reader/printer used to validate and
-//!   round-trip exporter output without external dependencies.
+//!   ([`export::json_snapshot`]) for benches and golden tests. The JSON
+//!   exporters write through the vendored `serde` codec, and
+//!   [`serde::parse`] reads their output back.
 //!
 //! Everything is deterministic: telemetry consumes no randomness and never
 //! charges the virtual clock, so enabling it cannot perturb an experiment.
@@ -46,7 +45,6 @@
 //! ```
 
 pub mod export;
-pub mod json;
 pub mod metrics;
 
 pub use export::{
@@ -55,7 +53,7 @@ pub use export::{
 };
 pub use metrics::{Histogram, Metric, MetricsRegistry};
 
-use flux_simcore::{SimDuration, SimTime, Trace, TraceKind};
+use flux_simcore::{SimDuration, SimTime, TraceKind};
 
 /// Identifies one lane (a simulated device or process) in the span tree
 /// and the Chrome trace. Lane 0 is always the world lane.
@@ -141,7 +139,10 @@ pub struct Telemetry {
     /// Per-lane stack of open spans (indices into `spans`).
     open: Vec<Vec<u32>>,
     instants: Vec<InstantEvent>,
-    events: Trace,
+    /// Cap on `instants.len()`; `None` means unbounded.
+    event_capacity: Option<usize>,
+    /// Instant events discarded because the cap was reached.
+    dropped_events: u64,
     metrics: MetricsRegistry,
 }
 
@@ -160,7 +161,8 @@ impl Telemetry {
             spans: Vec::new(),
             open: vec![Vec::new()],
             instants: Vec::new(),
-            events: Trace::new(),
+            event_capacity: None,
+            dropped_events: 0,
             metrics: MetricsRegistry::new(),
         }
     }
@@ -170,12 +172,7 @@ impl Telemetry {
     pub fn disabled() -> Self {
         Self {
             enabled: false,
-            lanes: vec!["world".to_owned()],
-            spans: Vec::new(),
-            open: vec![Vec::new()],
-            instants: Vec::new(),
-            events: Trace::disabled(),
-            metrics: MetricsRegistry::new(),
+            ..Self::new()
         }
     }
 
@@ -184,18 +181,17 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Caps the flat event log and the instant-event list at `limit`
-    /// entries each; events beyond the cap are counted as dropped (see
-    /// [`Telemetry::dropped_events`]) instead of growing memory without
-    /// bound during long fault sweeps.
+    /// Caps the instant-event list at `limit` entries; events beyond the
+    /// cap are counted as dropped (see [`Telemetry::dropped_events`])
+    /// instead of growing memory without bound during long fault sweeps.
     pub fn set_event_capacity(&mut self, limit: usize) {
-        self.events.set_capacity(Some(limit));
+        self.event_capacity = Some(limit);
     }
 
     /// Events dropped by the capacity limit so far. Exported as the
     /// `flux.telemetry.events_dropped` metric in snapshots.
     pub fn dropped_events(&self) -> u64 {
-        self.events.dropped()
+        self.dropped_events
     }
 
     // ---- lanes ----------------------------------------------------------
@@ -373,8 +369,8 @@ impl Telemetry {
 
     // ---- events ---------------------------------------------------------
 
-    /// Records a lane-attributed instant event and mirrors it into the
-    /// flat compatibility log. Subject to the event capacity.
+    /// Records a lane-attributed instant event. Subject to the event
+    /// capacity.
     pub fn instant(
         &mut self,
         lane: LaneId,
@@ -386,26 +382,28 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let detail = detail.into();
-        if self.events.emit_kind(at, kind, name, detail.clone()) {
-            self.instants.push(InstantEvent {
-                at,
-                lane: LaneId((lane.0 as usize).min(self.lanes.len() - 1) as u16),
-                kind,
-                name: name.to_owned(),
-                detail,
-            });
+        if self
+            .event_capacity
+            .is_some_and(|cap| self.instants.len() >= cap)
+        {
+            self.dropped_events += 1;
+            return;
         }
+        self.instants.push(InstantEvent {
+            at,
+            lane: LaneId((lane.0 as usize).min(self.lanes.len() - 1) as u16),
+            kind,
+            name: name.to_owned(),
+            detail: detail.into(),
+        });
     }
 
-    /// Compatibility shim for `Trace::emit`: a generic event on the world
-    /// lane.
+    /// A generic instant event on the world lane.
     pub fn emit(&mut self, at: SimTime, category: &str, detail: impl Into<String>) {
         self.instant(LaneId::WORLD, TraceKind::Generic, category, at, detail);
     }
 
-    /// Compatibility shim for `Trace::emit_kind`: a typed event on the
-    /// world lane.
+    /// A typed instant event on the world lane.
     pub fn emit_kind(
         &mut self,
         at: SimTime,
@@ -414,12 +412,6 @@ impl Telemetry {
         detail: impl Into<String>,
     ) {
         self.instant(LaneId::WORLD, kind, category, at, detail);
-    }
-
-    /// The flat event log (the original `flux_simcore::Trace` API:
-    /// `events()`, `events_in()`, `events_of_kind()`, `len()`).
-    pub fn events(&self) -> &Trace {
-        &self.events
     }
 
     /// Lane-attributed instant events, in emission order.
@@ -580,7 +572,6 @@ mod tests {
         for i in 0..5 {
             tele.emit(t(i), "spam", "x");
         }
-        assert_eq!(tele.events().len(), 2);
         assert_eq!(tele.instants().len(), 2);
         assert_eq!(tele.dropped_events(), 3);
     }
@@ -604,5 +595,133 @@ mod tests {
         tele.enter(lane, "b", t(1));
         tele.finish(t(7));
         assert!(tele.spans().iter().all(|s| s.end == Some(t(7))));
+    }
+}
+
+/// Tests of the instant-event log, the run's trace: its capacity, its
+/// drop count and the disabled hub.
+#[cfg(test)]
+mod trace {
+    mod tests {
+        use crate::{json_snapshot, Telemetry};
+        use flux_simcore::{SimTime, TraceKind};
+
+        fn t(ms: u64) -> SimTime {
+            SimTime::from_millis(ms)
+        }
+
+        #[test]
+        fn capacity_drops_and_counts_overflow() {
+            // One cap covers every instant entry point; the first events
+            // are kept in order and the rest only counted.
+            let mut tele = Telemetry::new();
+            let lane = tele.lane("dev");
+            tele.set_event_capacity(2);
+            tele.emit(t(0), "a", "1");
+            tele.instant(lane, TraceKind::Fault, "b", t(1), "2");
+            tele.emit_kind(t(2), TraceKind::Retry, "c", "3");
+            tele.instant(lane, TraceKind::Rollback, "d", t(3), "4");
+            let names: Vec<&str> = tele.instants().iter().map(|e| e.name.as_str()).collect();
+            assert_eq!(names, ["a", "b"]);
+            assert_eq!(tele.dropped_events(), 2);
+            // Spans are not subject to the event cap.
+            let s = tele.enter(lane, "s", t(4));
+            tele.exit(s, t(5));
+            assert_eq!(tele.spans().len(), 1);
+            // A cap lowered below the log's length keeps what is recorded.
+            tele.set_event_capacity(1);
+            tele.emit(t(6), "e", "5");
+            assert_eq!(tele.instants().len(), 2);
+            assert_eq!(tele.dropped_events(), 3);
+            let snap = serde::parse(&json_snapshot(&tele)).unwrap();
+            assert_eq!(snap.read::<u64>("dropped_events").unwrap(), 3);
+        }
+
+        #[test]
+        fn unbounded_trace_never_drops() {
+            let mut tele = Telemetry::new();
+            for i in 0..1_000 {
+                tele.emit(t(i), "spam", "x");
+            }
+            assert_eq!(tele.instants().len(), 1_000);
+            assert_eq!(tele.dropped_events(), 0);
+        }
+
+        #[test]
+        fn disabled_trace_drops_events() {
+            // Dropped at the first branch: not kept, and not counted even
+            // under a zero cap.
+            let mut tele = Telemetry::disabled();
+            tele.set_event_capacity(0);
+            tele.emit(t(0), "x", "y");
+            tele.emit_kind(t(1), TraceKind::Fault, "x", "y");
+            assert!(tele.instants().is_empty());
+            assert_eq!(tele.dropped_events(), 0);
+        }
+    }
+}
+
+/// Tests of the JSON contract between the exporters and [`serde::parse`].
+#[cfg(test)]
+mod json {
+    mod tests {
+        use crate::{chrome_trace, json_snapshot, Telemetry};
+        use flux_simcore::{SimTime, TraceKind};
+        use serde::JsonValue;
+
+        fn lexeme(v: Option<&JsonValue>) -> Option<&str> {
+            match v {
+                Some(JsonValue::Num(s)) => Some(s),
+                _ => None,
+            }
+        }
+
+        #[test]
+        fn parses_scalars() {
+            // Each scalar form the exporters write reads back as that scalar.
+            let mut tele = Telemetry::new();
+            let lane = tele.lane("dev");
+            tele.enter(lane, "open", SimTime::from_nanos(1_234_567));
+            let detail = "a\"b\nc\u{1}";
+            tele.instant(lane, TraceKind::Retry, "net.chunk", SimTime::ZERO, detail);
+            tele.counter_add("flux.c", u64::MAX);
+            tele.gauge_set("flux.g", -1.5e-3);
+
+            let snap = serde::parse(&json_snapshot(&tele)).unwrap();
+            let span = &snap.get("spans").unwrap().as_arr().unwrap()[0];
+            assert_eq!(lexeme(span.get("start_ns")), Some("1234567"));
+            assert_eq!(span.get("parent"), Some(&JsonValue::Null));
+            assert_eq!(span.get("end_ns"), Some(&JsonValue::Null));
+            let instant = &snap.get("instants").unwrap().as_arr().unwrap()[0];
+            assert_eq!(instant.get("kind").unwrap().as_str(), Some("retry"));
+            assert_eq!(instant.get("detail").unwrap().as_str(), Some(detail));
+            let metrics = snap.get("metrics").unwrap();
+            assert_eq!(metrics.get("flux.c").unwrap().as_u64(), Some(u64::MAX));
+            assert_eq!(lexeme(metrics.get("flux.g")), Some("-0.0015"));
+            assert_eq!(lexeme(snap.get("dropped_events")), Some("0"));
+
+            let trace = serde::parse(&chrome_trace(&tele)).unwrap();
+            let span = &trace.get("traceEvents").unwrap().as_arr().unwrap()[2];
+            assert_eq!(lexeme(span.get("ts")), Some("1234.567"));
+            assert_eq!(lexeme(span.get("dur")), Some("0.000"));
+        }
+
+        #[test]
+        fn rejects_garbage() {
+            // `Display` of a non-finite f64 is not JSON, which is why the
+            // exporters write such gauges as `null`.
+            for bad in ["NaN", "inf", "-inf", r#"{"flux.g":NaN}"#] {
+                assert!(serde::parse(bad).is_err(), "{bad}");
+            }
+            // A cut or doubled export is not one document.
+            let mut tele = Telemetry::new();
+            tele.emit(SimTime::ZERO, "net.chunk", "chunk 0");
+            for doc in [chrome_trace(&tele), json_snapshot(&tele)] {
+                for cut in 1..doc.len() {
+                    assert!(serde::parse(&doc[..cut]).is_err(), "{}", &doc[..cut]);
+                }
+                assert!(serde::parse(&format!("{doc}{doc}")).is_err());
+            }
+        }
     }
 }

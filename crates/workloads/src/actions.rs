@@ -5,10 +5,8 @@
 //! environment. Keeping actions as plain data lets the same script run
 //! before and after a migration and lets tests compare the outcomes.
 
-use serde::{Deserialize, Serialize};
-
 /// One step of an app workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Post a notification with the given id and payload size.
     PostNotification {

@@ -1,10 +1,9 @@
 //! The Table 3 app inventory.
 
 use crate::actions::Action;
-use serde::{Deserialize, Serialize};
 
 /// One app from the paper's evaluation (Table 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Display name as in Table 3.
     pub name: String,

@@ -1,0 +1,141 @@
+//! Golden pins for the JSON exports: the Chrome trace, the telemetry
+//! snapshot and the serialized fleet report.
+//!
+//! The determinism suites compare two runs of the same build, so an
+//! exporter change that shifts a byte — an escape, a float rendering, a
+//! field order — passes all of them. These FNV-1a digests pin the bytes
+//! across commits instead, the export counterpart of `golden_corpus.rs`.
+//! Deliberate format changes must recapture them (`print_pins` with
+//! `--ignored --nocapture`) in the same commit that explains why.
+//!
+//! The committed `BENCH_*.json` artifacts ride along: documents written
+//! by earlier builds must still parse and print back byte-identically.
+
+mod common;
+
+use flux_core::{
+    migrate, DeviceId, FleetConfig, FleetReport, FleetScheduler, FluxWorld, MigrationConfig,
+    MigrationRequest, MigrationSpec, RetryPolicy,
+};
+use flux_simcore::{FaultConfig, FaultPlan, SimDuration};
+use flux_telemetry::{chrome_trace, json_snapshot};
+
+/// FNV-1a over the export bytes.
+fn fnv(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn finish(world: &mut FluxWorld) {
+    world.harvest_metrics();
+    let now = world.clock.now();
+    world.telemetry.finish(now);
+}
+
+/// The faulted profiling scenario of `telemetry_determinism.rs`:
+/// WhatsApp, Nexus 4 → Nexus 7 (2013), seed 7 under a 0.4-rate fault
+/// plan, so the run retries and its trace carries fault instants.
+fn faulted_migration() -> FluxWorld {
+    let plan = FaultPlan::generate(7, &FaultConfig::uniform(0.4, SimDuration::from_secs(120)));
+    let (mut world, home, guest, pkg) = common::staged_faulty("WhatsApp", 7, plan);
+    migrate(&mut world, MigrationSpec::new(&pkg).between(home, guest)).expect("migrate");
+    finish(&mut world);
+    assert!(world.telemetry.metrics().counter("flux.migration.retries") > 0);
+    world
+}
+
+/// A two-pair fleet whose first request rolls back under blanket link
+/// drops, plus a third request refused pre-flight (its guest does not
+/// exist).
+fn small_fleet() -> (FluxWorld, FleetReport) {
+    let (mut world, pairs) = common::fleet_world(&["WhatsApp", "Twitter"], 7777);
+    let [(h1, g1, pkg1), (h2, g2, pkg2)] = &pairs[..] else {
+        unreachable!("two apps stage two pairs")
+    };
+    let no_retry = MigrationConfig {
+        retry: RetryPolicy::none(),
+        ..MigrationConfig::default()
+    };
+    let requests = vec![
+        MigrationRequest::new(1, *h1, *g1, pkg1)
+            .with_faults(common::blanket_drops())
+            .with_config(no_retry),
+        MigrationRequest::new(2, *h2, *g2, pkg2),
+        MigrationRequest::new(3, *h1, DeviceId(99), "com.missing"),
+    ];
+    let report = FleetScheduler::new(FleetConfig::default())
+        .unwrap()
+        .run(&mut world, requests)
+        .unwrap();
+    assert_eq!((report.rolled_back, report.refused), (1, 1));
+    finish(&mut world);
+    (world, report)
+}
+
+/// `(export, byte length, FNV-1a digest)`, in the order [`exports`]
+/// renders them.
+const PINS: [(&str, usize, u64); 5] = [
+    ("migration chrome_trace", 6743, 0xdea8_fbd0_eed8_9d43),
+    ("migration json_snapshot", 6996, 0xae87_a95e_8b7d_2787),
+    ("fleet chrome_trace", 9574, 0xc382_4220_3a45_9a6f),
+    ("fleet json_snapshot", 9688, 0x96a2_d40e_80b6_6043),
+    ("fleet report", 1786, 0xb529_0238_8875_60ac),
+];
+
+fn exports() -> [String; 5] {
+    let migration = faulted_migration();
+    let (fleet, report) = small_fleet();
+    [
+        chrome_trace(&migration.telemetry),
+        json_snapshot(&migration.telemetry),
+        chrome_trace(&fleet.telemetry),
+        json_snapshot(&fleet.telemetry),
+        serde::to_json(&report),
+    ]
+}
+
+#[test]
+fn exports_are_byte_identical_across_commits() {
+    for (doc, (name, len, hash)) in exports().iter().zip(PINS) {
+        assert_eq!(
+            (doc.len(), fnv(doc)),
+            (len, hash),
+            "{name} drifted; document:\n{doc}"
+        );
+    }
+}
+
+/// Prints the current pin values — run with `--ignored --nocapture` when
+/// a deliberate format change needs the constants above recaptured.
+#[test]
+#[ignore]
+fn print_pins() {
+    for (doc, (name, _, _)) in exports().iter().zip(PINS) {
+        println!("(\"{name}\", {}, {:#x}),", doc.len(), fnv(doc));
+    }
+}
+
+/// Every committed `BENCH_*.json` at the repository root parses and prints
+/// back byte-identically, ignoring a trailing newline.
+#[test]
+fn committed_bench_artifacts_round_trip() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(root).expect("repository root") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable artifact");
+        let doc = text.strip_suffix('\n').unwrap_or(&text);
+        let parsed = serde::parse(doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(serde::to_json(&parsed), doc, "{name} does not print back");
+        checked += 1;
+    }
+    assert!(checked >= 4, "found only {checked} BENCH_*.json artifacts");
+}
