@@ -59,6 +59,7 @@ use crate::fleet::{FleetOutcome, MigrationRequest};
 use crate::probe::{ExecProbe, RadioWindow, StageWindow};
 use crate::record::RecordStore;
 use crate::world::{Device, DeviceId, FluxWorld};
+use flux_aidl::CompiledInterface;
 use flux_device::DeviceProfile;
 use flux_kernel::Kernel;
 use flux_services::ServiceHost;
@@ -522,6 +523,9 @@ fn assemble(
     }
 }
 
+/// The empty interface table of [`placeholder_device`]'s host.
+static NO_INTERFACES: BTreeMap<String, CompiledInterface> = BTreeMap::new();
+
 /// A hollow stand-in occupying a detached device's slot so indices stay
 /// stable while the real device is out in a shard. Never observed by the
 /// engine (group members are device-disjoint) and replaced before
@@ -531,7 +535,7 @@ fn placeholder_device() -> Device {
         name: String::new(),
         profile: DeviceProfile::nexus4(),
         kernel: Kernel::new("0"),
-        host: ServiceHost::new(Pid(0), BTreeMap::new()),
+        host: ServiceHost::new(Pid(0), &NO_INTERFACES),
         fs: flux_fs::SimFs::new(),
         apps: BTreeMap::new(),
         specs: BTreeMap::new(),

@@ -7,7 +7,7 @@
 //! directory so a wrapper app exists for migration-in.
 
 use crate::errors::FluxError;
-use crate::world::{DeviceId, FluxWorld, Pairing, WorldError};
+use crate::world::{Device, DeviceId, FluxWorld, WorldError};
 use flux_fs::{sync, SyncOptions, SyncReport};
 use flux_services::svc::package::{PackageManagerService, PackageRecord};
 use flux_simcore::ByteSize;
@@ -34,32 +34,50 @@ impl PairingReport {
     }
 }
 
+/// Borrows `home` to read and `guest` to write at once, so a sync can read
+/// the home filesystem while it writes the guest's. An unknown device is
+/// reported before home == guest.
+fn split_pair(
+    devices: &mut [Device],
+    home: DeviceId,
+    guest: DeviceId,
+) -> Result<(&Device, &mut Device), WorldError> {
+    for id in [home, guest] {
+        if id.0 >= devices.len() {
+            return Err(WorldError::NoSuchDevice(id.0));
+        }
+    }
+    if home.0 < guest.0 {
+        let (low, high) = devices.split_at_mut(guest.0);
+        Ok((&low[home.0], &mut high[0]))
+    } else if guest.0 < home.0 {
+        let (low, high) = devices.split_at_mut(home.0);
+        Ok((&high[0], &mut low[guest.0]))
+    } else {
+        Err(WorldError::SelfPairing(home.0))
+    }
+}
+
 /// Pairs `home` to `guest`: after this, apps installed on `home` can be
 /// migrated to `guest`. Pairing is directional; pair both ways for
-/// round-trip migration.
+/// round-trip migration. A device cannot pair with itself.
 pub fn pair(
     world: &mut FluxWorld,
     home: DeviceId,
     guest: DeviceId,
 ) -> Result<PairingReport, FluxError> {
     let started = world.clock.now();
-    let (home_name, home_system, home_apps, home_wifi) = {
-        let h = world.device(home)?;
-        let packages: Vec<PackageRecord> = h
-            .specs
-            .keys()
-            .filter_map(|p| {
-                h.host
-                    .service::<PackageManagerService>("package")
-                    .and_then(|pm| pm.package(p).cloned())
-            })
-            .collect();
-        (h.name.clone(), h.fs.clone(), packages, h.profile.wifi)
-    };
-
-    let pairing_root = format!("/data/flux/{home_name}");
-    let guest_cost = world.device(guest)?.cost.clone();
-    let guest_wifi = world.device(guest)?.profile.wifi;
+    let (h, g) = split_pair(&mut world.devices, home, guest)?;
+    let home_apps: Vec<PackageRecord> = h
+        .specs
+        .keys()
+        .filter_map(|p| {
+            h.host
+                .service::<PackageManagerService>("package")
+                .and_then(|pm| pm.package(p).cloned())
+        })
+        .collect();
+    let pairing_root = format!("/data/flux/{}", h.name);
 
     // 1. Constant data: frameworks and libraries, hard-linked against the
     //    guest's own /system where identical.
@@ -67,18 +85,15 @@ pub fn pair(
         link_dest: Some("/system".into()),
         ..SyncOptions::default()
     };
-    let system_sync = {
-        let g = world.device_mut(guest)?;
-        sync(
-            &home_system,
-            "/system",
-            &mut g.fs,
-            &format!("{pairing_root}/system"),
-            &opts,
-            &guest_cost,
-        )
-        .map_err(|e| WorldError::Boot(e.to_string()))?
-    };
+    let system_sync = sync(
+        &h.fs,
+        "/system",
+        &mut g.fs,
+        &format!("{pairing_root}/system"),
+        &opts,
+        &g.cost,
+    )
+    .map_err(|e| WorldError::Boot(e.to_string()))?;
 
     // 2. APKs and app data directories; then pseudo-install metadata.
     let app_opts = SyncOptions {
@@ -88,23 +103,22 @@ pub fn pair(
     let mut app_sync = SyncReport::default();
     let mut packages = Vec::new();
     for record in &home_apps {
-        let g = world.device_mut(guest)?;
         let apk = sync(
-            &home_system,
+            &h.fs,
             &record.apk_path,
             &mut g.fs,
             &format!("{pairing_root}{}", record.apk_path),
             &app_opts,
-            &guest_cost,
+            &g.cost,
         )
         .map_err(|e| WorldError::Boot(e.to_string()))?;
         let data = sync(
-            &home_system,
+            &h.fs,
             &format!("/data/data/{}", record.name),
             &mut g.fs,
             &format!("{pairing_root}/data/data/{}", record.name),
             &app_opts,
-            &guest_cost,
+            &g.cost,
         )
         .map_err(|e| WorldError::Boot(e.to_string()))?;
         app_sync.absorb(&apk);
@@ -114,11 +128,8 @@ pub fn pair(
             .expect("package service registered")
             .pseudo_install(record);
         // The guest needs the spec too, to re-launch after migration-in.
-        if let Some(spec) = world.device(home)?.specs.get(&record.name).cloned() {
-            world
-                .device_mut(guest)?
-                .specs
-                .insert(record.name.clone(), spec);
+        if let Some(spec) = h.specs.get(&record.name) {
+            g.specs.insert(record.name.clone(), spec.clone());
         }
         packages.push(record.name.clone());
     }
@@ -127,27 +138,26 @@ pub fn pair(
     let cpu = system_sync.cpu_time + app_sync.cpu_time;
     world.clock.charge(cpu);
     let shipped = system_sync.bytes_shipped + app_sync.bytes_shipped;
-    let t = world.net.transfer(shipped, &home_wifi, &guest_wifi);
+    let t = world
+        .net
+        .transfer(shipped, &h.profile.wifi, &g.profile.wifi);
     world.clock.charge(t.duration);
 
     // Record the pairing on the guest.
-    {
-        let g = world.device_mut(guest)?;
-        let entry = g.pairings.entry(home.0).or_insert_with(Pairing::default);
-        entry.root = pairing_root;
-        entry.packages.extend(packages.iter().cloned());
-    }
+    let entry = g.pairings.entry(home.0).or_default();
+    entry.root = pairing_root;
+    entry.packages.extend(packages.iter().cloned());
+    let direction = format!("{} -> {}", h.name, g.name);
+    let detail = format!("{} -> guest, {shipped} shipped", h.name);
 
     let elapsed = world.clock.now() - started;
     record_fs_metrics(world, &system_sync);
     record_fs_metrics(world, &app_sync);
-    world.telemetry.emit(
-        world.clock.now(),
-        "pairing.complete",
-        format!("{home_name} -> guest, {shipped} shipped"),
-    );
+    world
+        .telemetry
+        .emit(world.clock.now(), "pairing.complete", detail);
     Ok(PairingReport {
-        direction: format!("{home_name} -> {}", world.device(guest)?.name),
+        direction,
         system_sync,
         app_sync,
         packages,
@@ -165,51 +175,35 @@ pub fn verify_app(
     guest: DeviceId,
     package: &str,
 ) -> Result<SyncReport, FluxError> {
-    let (home_fs, apk_path, data_dir) = {
-        let h = world.device(home)?;
-        let apk = h
-            .host
-            .service::<PackageManagerService>("package")
-            .and_then(|pm| pm.package(package))
-            .map(|r| r.apk_path.clone())
-            .ok_or_else(|| WorldError::NoSuchApp(package.to_owned()))?;
-        (h.fs.clone(), apk, format!("/data/data/{package}"))
-    };
-    let root = {
-        let g = world.device(guest)?;
-        g.pairings
-            .get(&home.0)
-            .map(|p| p.root.clone())
-            .ok_or_else(|| WorldError::Boot("devices are not paired".into()))?
-    };
-    let guest_cost = world.device(guest)?.cost.clone();
+    let (h, g) = split_pair(&mut world.devices, home, guest)?;
+    let apk_path = h
+        .host
+        .service::<PackageManagerService>("package")
+        .and_then(|pm| pm.package(package))
+        .map(|r| r.apk_path.as_str())
+        .ok_or_else(|| WorldError::NoSuchApp(package.to_owned()))?;
+    let data_dir = format!("/data/data/{package}");
+    let root = g
+        .pairings
+        .get(&home.0)
+        .map(|p| p.root.as_str())
+        .ok_or_else(|| WorldError::Boot("devices are not paired".into()))?;
     let opts = SyncOptions {
         link_dest: None,
         ..SyncOptions::default()
     };
     let mut report = SyncReport::default();
-    {
-        let g = world.device_mut(guest)?;
-        let apk = sync(
-            &home_fs,
-            &apk_path,
+    for dir in [apk_path, data_dir.as_str()] {
+        let synced = sync(
+            &h.fs,
+            dir,
             &mut g.fs,
-            &format!("{root}{apk_path}"),
+            &format!("{root}{dir}"),
             &opts,
-            &guest_cost,
+            &g.cost,
         )
         .map_err(|e| WorldError::Boot(e.to_string()))?;
-        let data = sync(
-            &home_fs,
-            &data_dir,
-            &mut g.fs,
-            &format!("{root}{data_dir}"),
-            &opts,
-            &guest_cost,
-        )
-        .map_err(|e| WorldError::Boot(e.to_string()))?;
-        report.absorb(&apk);
-        report.absorb(&data);
+        report.absorb(&synced);
     }
     world.clock.charge(report.cpu_time);
     record_fs_metrics(world, &report);
@@ -227,4 +221,34 @@ fn record_fs_metrics(world: &mut FluxWorld, report: &SyncReport) {
     world
         .telemetry
         .counter_add("flux.fs.bytes_shipped", report.bytes_shipped.as_u64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::WorldBuilder;
+    use flux_device::DeviceProfile;
+    use flux_workloads::spec;
+
+    #[test]
+    fn pairing_a_device_with_itself_is_an_explicit_error() {
+        let app = spec("WhatsApp").expect("spec");
+        let (mut world, ids) = WorldBuilder::new()
+            .seed(7)
+            .device("phone", DeviceProfile::nexus4())
+            .app(0, app.clone())
+            .build()
+            .expect("build");
+        let before = world.clock.now();
+        let err = FluxError::World(WorldError::SelfPairing(0));
+        assert_eq!(pair(&mut world, ids[0], ids[0]), Err(err.clone()));
+        assert_eq!(
+            verify_app(&mut world, ids[0], ids[0], &app.package),
+            Err(err.clone())
+        );
+        assert_eq!(err.to_string(), "device #0 cannot pair with itself");
+        // Refused before anything ran: no time, no pairing state.
+        assert_eq!(world.clock.now(), before);
+        assert!(world.device(ids[0]).unwrap().pairings.is_empty());
+    }
 }

@@ -112,6 +112,8 @@ pub enum WorldError {
     Binder(BinderError),
     /// A service boot or registry failure.
     Boot(String),
+    /// Pairing or verification named one device as both home and guest.
+    SelfPairing(usize),
 }
 
 impl fmt::Display for WorldError {
@@ -121,6 +123,7 @@ impl fmt::Display for WorldError {
             WorldError::NoSuchApp(p) => write!(f, "app {p} not present"),
             WorldError::Binder(e) => write!(f, "binder: {e}"),
             WorldError::Boot(m) => write!(f, "boot: {m}"),
+            WorldError::SelfPairing(i) => write!(f, "device #{i} cannot pair with itself"),
         }
     }
 }

@@ -12,15 +12,24 @@
 use crate::profile::DeviceProfile;
 use flux_fs::{Content, SimFs};
 use flux_simcore::ByteSize;
+use std::sync::LazyLock;
 
-/// Stable FNV-1a hash used to derive per-file identity.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
+/// The FNV-1a offset basis: the hash of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`, so hashing `a` and then `b`
+/// equals hashing their concatenation.
+fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// Stable FNV-1a hash used to derive per-file identity.
+fn fnv(s: &str) -> u64 {
+    fnv_extend(FNV_BASIS, s.as_bytes())
 }
 
 /// Global size calibration (percent) applied to every manifest entry so the
@@ -136,33 +145,56 @@ fn manifest() -> Vec<(String, u64)> {
     files
 }
 
-/// Whether a given path's contents are device-specific at the same Android
-/// version. Vendor GPU libraries always are; other files are selected by a
-/// stable per-path draw.
-fn is_device_specific(path: &str, profile: &DeviceProfile) -> bool {
-    if path.contains("vendor") || path.ends_with(&profile.gpu.vendor_lib) {
-        return true;
-    }
-    fnv(path) % 1000 < DEVICE_SPECIFIC_PER_MILLE
+/// One `/system` file with everything about it that no profile changes.
+struct SystemFile {
+    path: String,
+    /// Size after [`SIZE_SCALE_PCT`].
+    size: ByteSize,
+    /// The FNV-1a state after the path's bytes; each profile continues it
+    /// over its own suffix.
+    path_hash: u64,
+    /// Vendor files, and files picked by a stable per-path draw, carry
+    /// device-specific contents at the same Android version.
+    device_specific: bool,
 }
+
+/// The manifest with sizes scaled and per-path draws taken, built once:
+/// every device at one Android version shares the file list.
+static SYSTEM_FILES: LazyLock<Vec<SystemFile>> = LazyLock::new(|| {
+    manifest()
+        .into_iter()
+        .map(|(path, kib)| {
+            let path_hash = fnv(&path);
+            SystemFile {
+                size: ByteSize::from_kib((kib * SIZE_SCALE_PCT).div_ceil(100)),
+                device_specific: path.contains("vendor")
+                    || path_hash % 1000 < DEVICE_SPECIFIC_PER_MILLE,
+                path_hash,
+                path,
+            }
+        })
+        .collect()
+});
 
 /// Populates `fs` with a complete `/system` partition for `profile`.
 ///
 /// Files identical across devices hash by `(path, android_version)`;
-/// device-specific files hash by `(path, model, android_version)`. The GPU
-/// vendor library is added explicitly since Flux must swap it on migration.
+/// device-specific files (and the profile's GPU library) hash by `(path,
+/// model, android_version)`. The GPU vendor library is added explicitly
+/// since Flux must swap it on migration.
 pub fn populate_system(fs: &mut SimFs, profile: &DeviceProfile) {
-    for (path, kib) in manifest() {
-        let kib = (kib * SIZE_SCALE_PCT).div_ceil(100);
-        let hash = if is_device_specific(&path, profile) {
-            fnv(&format!(
-                "{}:{}:{:?}",
-                path, profile.android_version, profile.model
-            ))
+    // A file's identity is the FNV-1a hash of `{path}:{version}`, or of
+    // `{path}:{version}:{model:?}` when it is device-specific.
+    let shared = format!(":{}", profile.android_version);
+    let specific = format!("{shared}:{:?}", profile.model);
+    for file in SYSTEM_FILES.iter() {
+        let suffix = if file.device_specific || file.path.ends_with(&profile.gpu.vendor_lib) {
+            &specific
         } else {
-            fnv(&format!("{}:{}", path, profile.android_version))
+            &shared
         };
-        fs.write(&path, Content::new(ByteSize::from_kib(kib), hash));
+        let hash = fnv_extend(file.path_hash, suffix.as_bytes());
+        fs.write(&file.path, Content::new(file.size, hash));
     }
     // The vendor GPU library, always device-specific.
     let vendor_path = format!("/system/vendor/lib/egl/{}", profile.gpu.vendor_lib);
@@ -178,6 +210,57 @@ pub fn populate_system(fs: &mut SimFs, profile: &DeviceProfile) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-file `format!` hashing `populate_system` replaced, kept as
+    /// the oracle its table must reproduce byte for byte.
+    fn reference_populate(fs: &mut SimFs, profile: &DeviceProfile) {
+        let is_device_specific = |path: &str| {
+            path.contains("vendor")
+                || path.ends_with(&profile.gpu.vendor_lib)
+                || fnv(path) % 1000 < DEVICE_SPECIFIC_PER_MILLE
+        };
+        for (path, kib) in manifest() {
+            let kib = (kib * SIZE_SCALE_PCT).div_ceil(100);
+            let hash = if is_device_specific(&path) {
+                fnv(&format!(
+                    "{}:{}:{:?}",
+                    path, profile.android_version, profile.model
+                ))
+            } else {
+                fnv(&format!("{}:{}", path, profile.android_version))
+            };
+            fs.write(&path, Content::new(ByteSize::from_kib(kib), hash));
+        }
+        let vendor_path = format!("/system/vendor/lib/egl/{}", profile.gpu.vendor_lib);
+        fs.write(
+            &vendor_path,
+            Content::new(
+                ByteSize::from_kib(6_200),
+                fnv(&format!("{vendor_path}:{:?}", profile.model)),
+            ),
+        );
+    }
+
+    #[test]
+    fn populate_system_matches_the_format_reference() {
+        for profile in [
+            DeviceProfile::nexus4(),
+            DeviceProfile::nexus7_2012(),
+            DeviceProfile::nexus7_2013(),
+        ] {
+            let mut table = SimFs::new();
+            let mut reference = SimFs::new();
+            populate_system(&mut table, &profile);
+            reference_populate(&mut reference, &profile);
+            let files = |fs: &SimFs| -> Vec<(String, flux_fs::FileEntry)> {
+                fs.list("")
+                    .map(|(p, e)| (p.to_owned(), e.clone()))
+                    .collect()
+            };
+            assert_eq!(table.len(), 460, "{:?}", profile.model);
+            assert_eq!(files(&table), files(&reference), "{:?}", profile.model);
+        }
+    }
 
     #[test]
     fn system_image_is_about_215_mb() {

@@ -11,6 +11,7 @@
 use flux_simcore::ByteSize;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 /// Content identity of a file: size plus a collision-free hash stand-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -133,12 +134,17 @@ impl SimFs {
         self.files.contains_key(path)
     }
 
-    /// All `(path, entry)` pairs under `prefix`, in path order.
-    pub fn list(&self, prefix: &str) -> impl Iterator<Item = (&str, &FileEntry)> + '_ {
-        let prefix = prefix.to_owned();
+    /// All `(path, entry)` pairs whose path starts with `prefix`, in path
+    /// order. The paths sharing a prefix are one contiguous run of the
+    /// sorted map, starting at `prefix` itself, so this walks only that
+    /// run.
+    pub fn list<'s: 'p, 'p>(
+        &'s self,
+        prefix: &'p str,
+    ) -> impl Iterator<Item = (&'s str, &'s FileEntry)> + 'p {
         self.files
-            .iter()
-            .filter(move |(p, _)| p.starts_with(&prefix))
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(p, _)| p.starts_with(prefix))
             .map(|(p, e)| (p.as_str(), e))
     }
 

@@ -144,13 +144,8 @@ pub fn sync_with_budget(
     budget: Option<ByteSize>,
 ) -> Result<(SyncReport, bool), FsError> {
     let mut report = SyncReport::default();
-    // Collect up front: we mutate `dst` as we walk.
-    let entries: Vec<(String, crate::fs::Content)> = src
-        .list(src_root)
-        .map(|(p, e)| (p.to_owned(), e.content))
-        .collect();
-
-    for (src_path, content) in entries {
+    for (src_path, entry) in src.list(src_root) {
+        let content = entry.content;
         if let Some(budget) = budget {
             if report.bytes_shipped >= budget {
                 return Ok((report, false));

@@ -474,10 +474,8 @@ impl ServiceCore {
 
         // The tear may have swallowed the tail of a batch's audit train;
         // re-issue what replay recomputed so the journal is whole again.
-        for audit in expected {
-            core.append_event(&audit)?;
-            recovery.reissued_audits += 1;
-        }
+        core.append_events(expected.make_contiguous())?;
+        recovery.reissued_audits = expected.len() as u64;
         core.recovery = recovery;
         Ok(core)
     }
@@ -542,17 +540,16 @@ impl ServiceCore {
         Ok(Some(self.prepare_batch(batch, &request_ids)?))
     }
 
-    /// Installs an executed batch: journals its audit events, records its
-    /// outputs, advances the service clock, and snapshots if due.
+    /// Installs an executed batch: journals its audit events as one group
+    /// with one sync, records its outputs, advances the service clock, and
+    /// snapshots if due.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Journal`] when appending the audits or the snapshot
     /// fails.
     pub fn install_batch(&mut self, executed: ExecutedBatch) -> Result<&BatchRecord, ServiceError> {
-        for audit in &executed.audits {
-            self.append_event(audit)?;
-        }
+        self.append_events(&executed.audits)?;
         self.install_executed(executed);
         self.maybe_snapshot()?;
         Ok(self.state.batches.last().expect("batch just installed"))
@@ -641,6 +638,14 @@ impl ServiceCore {
 
     fn append_event(&mut self, event: &WorldEvent) -> Result<(), ServiceError> {
         self.journal.append(&event.encode())?;
+        Ok(())
+    }
+
+    /// Journals `events` as one group: durable together, with one sync.
+    fn append_events(&mut self, events: &[WorldEvent]) -> Result<(), ServiceError> {
+        let payloads: Vec<Vec<u8>> = events.iter().map(WorldEvent::encode).collect();
+        self.journal
+            .append_all(payloads.iter().map(Vec::as_slice))?;
         Ok(())
     }
 

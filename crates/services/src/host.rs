@@ -29,14 +29,16 @@ pub struct ServiceHost {
     services: Vec<Box<dyn SystemService>>,
     by_node: BTreeMap<NodeId, usize>,
     by_name: BTreeMap<String, usize>,
-    interfaces: BTreeMap<String, CompiledInterface>,
+    interfaces: &'static BTreeMap<String, CompiledInterface>,
     /// PID of the `system_server` process hosting every service.
     pub system_pid: Pid,
 }
 
 impl ServiceHost {
-    /// Creates a host around an already spawned system-server process.
-    pub fn new(system_pid: Pid, interfaces: BTreeMap<String, CompiledInterface>) -> Self {
+    /// Creates a host around an already spawned system-server process,
+    /// validating methods against `interfaces` (normally
+    /// [`crate::registry::framework`]).
+    pub fn new(system_pid: Pid, interfaces: &'static BTreeMap<String, CompiledInterface>) -> Self {
         Self {
             services: Vec::new(),
             by_node: BTreeMap::new(),
@@ -67,13 +69,18 @@ impl ServiceHost {
         Ok(node)
     }
 
+    /// The interface table this host validates against.
+    pub fn interfaces(&self) -> &'static BTreeMap<String, CompiledInterface> {
+        self.interfaces
+    }
+
     /// The compiled interface for `descriptor`, if registered.
-    pub fn interface(&self, descriptor: &str) -> Option<&CompiledInterface> {
+    pub fn interface(&self, descriptor: &str) -> Option<&'static CompiledInterface> {
         self.interfaces.get(descriptor)
     }
 
     /// The compiled interface of the service registered as `name`.
-    pub fn interface_of_service(&self, name: &str) -> Option<&CompiledInterface> {
+    pub fn interface_of_service(&self, name: &str) -> Option<&'static CompiledInterface> {
         let idx = *self.by_name.get(name)?;
         self.interfaces.get(self.services[idx].descriptor())
     }

@@ -9,6 +9,8 @@
 //!   decoration LOC matching the paper exactly;
 //! * [`sensor_native`] — the hand-written record/replay rules for the
 //!   natively implemented SensorService (Table 2's 94 LOC entry);
+//! * [`framework`] — both compiled into one interface table, once per
+//!   process, which every booted device borrows;
 //! * behavioural implementations of the services the evaluation exercises
 //!   ([`svc`]), plus the WindowManager and PackageManager Flux needs;
 //! * [`ServiceHost`] — dispatch of Binder transactions to service objects,
@@ -25,6 +27,8 @@ pub use host::{DispatchResult, ServiceHost};
 pub use intent::{
     Delivery, Event, Intent, ACTION_CONFIGURATION_CHANGED, ACTION_CONNECTIVITY_CHANGE,
 };
-pub use registry::{compile_all, table2, ServiceClass, ServiceSpec, Table2Row, REGISTRY};
+pub use registry::{
+    compile_all, framework, table2, ServiceClass, ServiceSpec, Table2Row, REGISTRY,
+};
 pub use service::{ServiceCtx, SystemService};
 pub use svc::{boot_android, ServicesConfig};

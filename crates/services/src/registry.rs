@@ -9,6 +9,7 @@
 
 use flux_aidl::{compile, parse_one, CompiledInterface};
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 /// Whether a service fronts hardware (Table 2 splits the listing in two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,6 +219,25 @@ pub fn compile_all() -> Result<BTreeMap<String, CompiledInterface>, String> {
         out.insert(compiled.descriptor.clone(), compiled);
     }
     Ok(out)
+}
+
+/// The framework's interface table: every registry interface plus the
+/// SensorService's hand-written rules, compiled on first use and shared by
+/// every device of the process. Like the framework build Flux extends
+/// (§3.2), a bad decoration fails here, and every later boot reports it.
+static FRAMEWORK: LazyLock<Result<BTreeMap<String, CompiledInterface>, String>> =
+    LazyLock::new(|| {
+        let mut interfaces = compile_all()?;
+        // The SensorService's rules are hand-written, not parsed (§3.2).
+        let sensor = crate::sensor_native::compiled();
+        interfaces.insert(sensor.descriptor.clone(), sensor);
+        Ok(interfaces)
+    });
+
+/// The compiled framework table every booted [`crate::ServiceHost`]
+/// borrows, keyed by descriptor.
+pub fn framework() -> Result<&'static BTreeMap<String, CompiledInterface>, String> {
+    FRAMEWORK.as_ref().map_err(Clone::clone)
 }
 
 /// Regenerates Table 2 from the registry sources.

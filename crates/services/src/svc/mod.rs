@@ -66,17 +66,14 @@ impl Default for ServicesConfig {
 /// `system_server` process, registers all 22 Table 2 services (plus the
 /// WindowManager and PackageManager, which Flux interacts with but the
 /// paper does not decorate) with the ServiceManager, and returns the host.
+/// The host borrows the framework's interface table
+/// ([`registry::framework`]), which is compiled once per process.
 // `Box::new(T::default())` is intentional: the boxes coerce to
 // `Box<dyn SystemService>`, which `Box::default()` cannot produce.
 #[allow(clippy::box_default)]
 pub fn boot_android(kernel: &mut Kernel, config: &ServicesConfig) -> Result<ServiceHost, String> {
     let system_pid = kernel.spawn(Uid::SYSTEM, "system_server");
-    let mut interfaces = registry::compile_all()?;
-    // The SensorService's rules are hand-written, not parsed (§3.2).
-    let sensor = crate::sensor_native::compiled();
-    interfaces.insert(sensor.descriptor.clone(), sensor);
-
-    let mut host = ServiceHost::new(system_pid, interfaces);
+    let mut host = ServiceHost::new(system_pid, registry::framework()?);
     let add = |host: &mut ServiceHost,
                kernel: &mut Kernel,
                svc: Box<dyn crate::service::SystemService>|
@@ -212,5 +209,17 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing service {expected}");
         }
+    }
+
+    #[test]
+    fn hosts_share_one_framework_table() {
+        let config = ServicesConfig::default();
+        let a = boot_android(&mut Kernel::new("3.4"), &config).unwrap();
+        let b = boot_android(&mut Kernel::new("3.4"), &config).unwrap();
+        assert!(std::ptr::eq(a.interfaces(), b.interfaces()));
+        let mut compiled = registry::compile_all().unwrap();
+        let sensor = crate::sensor_native::compiled();
+        compiled.insert(sensor.descriptor.clone(), sensor);
+        assert_eq!(*a.interfaces(), compiled);
     }
 }

@@ -54,15 +54,22 @@ pub use export::{
 pub use metrics::{Histogram, Metric, MetricsRegistry};
 
 use flux_simcore::{SimDuration, SimTime, TraceKind};
+use std::collections::BTreeMap;
 
 /// Identifies one lane (a simulated device or process) in the span tree
 /// and the Chrome trace. Lane 0 is always the world lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct LaneId(pub u16);
+pub struct LaneId(pub u32);
 
 impl LaneId {
     /// The implicit world lane every hub starts with.
     pub const WORLD: LaneId = LaneId(0);
+
+    /// The lane at position `ix` of [`Telemetry::lanes`]. Panics rather
+    /// than wrap if `ix` does not fit the id.
+    fn at(ix: usize) -> LaneId {
+        LaneId(u32::try_from(ix).expect("lane index fits in a u32 LaneId"))
+    }
 }
 
 /// Identifies one span within a [`Telemetry`] hub.
@@ -135,6 +142,8 @@ pub struct InstantEvent {
 pub struct Telemetry {
     enabled: bool,
     lanes: Vec<String>,
+    /// `lanes` by name, so interning is a lookup rather than a scan.
+    lane_index: BTreeMap<String, LaneId>,
     spans: Vec<Span>,
     /// Per-lane stack of open spans (indices into `spans`).
     open: Vec<Vec<u32>>,
@@ -158,6 +167,7 @@ impl Telemetry {
         Self {
             enabled: true,
             lanes: vec!["world".to_owned()],
+            lane_index: BTreeMap::from([("world".to_owned(), LaneId::WORLD)]),
             spans: Vec::new(),
             open: vec![Vec::new()],
             instants: Vec::new(),
@@ -199,12 +209,14 @@ impl Telemetry {
     /// Interns a lane by name, returning its id. Registering the same name
     /// twice returns the same lane.
     pub fn lane(&mut self, name: &str) -> LaneId {
-        if let Some(i) = self.lanes.iter().position(|l| l == name) {
-            return LaneId(i as u16);
+        if let Some(&id) = self.lane_index.get(name) {
+            return id;
         }
+        let id = LaneId::at(self.lanes.len());
         self.lanes.push(name.to_owned());
+        self.lane_index.insert(name.to_owned(), id);
         self.open.push(Vec::new());
-        LaneId((self.lanes.len() - 1) as u16)
+        id
     }
 
     /// Registered lane names, in registration order.
@@ -225,7 +237,7 @@ impl Telemetry {
         let id = self.spans.len() as u32;
         self.spans.push(Span {
             name: name.to_owned(),
-            lane: LaneId(lane_ix as u16),
+            lane: LaneId::at(lane_ix),
             parent,
             start: at,
             end: None,
@@ -271,7 +283,7 @@ impl Telemetry {
         let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
         self.spans.push(Span {
             name: name.to_owned(),
-            lane: LaneId(lane_ix as u16),
+            lane: LaneId::at(lane_ix),
             parent,
             start,
             end: Some(end),
@@ -391,7 +403,7 @@ impl Telemetry {
         }
         self.instants.push(InstantEvent {
             at,
-            lane: LaneId((lane.0 as usize).min(self.lanes.len() - 1) as u16),
+            lane: LaneId::at((lane.0 as usize).min(self.lanes.len() - 1)),
             kind,
             name: name.to_owned(),
             detail: detail.into(),
@@ -549,6 +561,22 @@ mod tests {
         let b = tele.lane("phone");
         assert_eq!(a, b);
         assert_eq!(tele.lanes(), &["world".to_owned(), "phone".to_owned()]);
+    }
+
+    #[test]
+    fn lane_ids_do_not_wrap_past_u16() {
+        // 65,537 lanes with the world lane: the last one's index is 2^16,
+        // which a 16-bit id would wrap onto the world lane.
+        let mut tele = Telemetry::new();
+        let mut last = LaneId::WORLD;
+        for i in 1..65_537u32 {
+            last = tele.lane(&format!("lane{i}"));
+        }
+        assert_eq!(tele.lanes().len(), 65_537);
+        assert_ne!(last, LaneId::WORLD);
+        assert_eq!(last, LaneId(65_536));
+        assert_eq!(tele.lane("lane65536"), last);
+        assert_eq!(tele.lane("world"), LaneId::WORLD);
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //! was recorded under) fails this file, fleet refactors of `migration.rs`
 //! included. Deliberate figure changes must update these constants in the
 //! same commit that explains why.
+//!
+//! The §4 pairing cost is pinned the same way: a Nexus 7 → Nexus 7 (2013)
+//! `pair` report and a pre-migration `verify_app` report, every file count
+//! and byte total plus the virtual time they charge.
 
 mod common;
 
-use flux_core::{migrate, MigrationSpec};
+use flux_core::{migrate, pair, verify_app, MigrationSpec, WorldBuilder};
+use flux_device::DeviceProfile;
+use flux_fs::SyncReport;
+use flux_workloads::spec;
 
 struct Golden {
     app: &'static str,
@@ -151,4 +158,131 @@ fn default_single_pair_migrate_matches_the_seed_figures() {
             "{ctx}: final clock"
         );
     }
+}
+
+/// One sync report's counts, byte totals and CPU charge.
+struct SyncGolden {
+    total: usize,
+    up_to_date: usize,
+    hard_linked: usize,
+    delta: usize,
+    full: usize,
+    considered: u64,
+    differing: u64,
+    shipped: u64,
+    cpu_ns: u64,
+}
+
+fn assert_sync(ctx: &str, r: &SyncReport, g: &SyncGolden) {
+    let counts = (
+        r.files_total,
+        r.files_up_to_date,
+        r.files_hard_linked,
+        r.files_delta,
+        r.files_full,
+    );
+    assert_eq!(
+        counts,
+        (g.total, g.up_to_date, g.hard_linked, g.delta, g.full),
+        "{ctx}: file counts (total, up-to-date, linked, delta, full)"
+    );
+    assert_eq!(
+        r.bytes_considered.as_u64(),
+        g.considered,
+        "{ctx}: considered"
+    );
+    assert_eq!(r.bytes_differing.as_u64(), g.differing, "{ctx}: differing");
+    assert_eq!(r.bytes_shipped.as_u64(), g.shipped, "{ctx}: shipped");
+    assert_eq!(r.cpu_time.as_nanos(), g.cpu_ns, "{ctx}: cpu time");
+}
+
+/// The §4 experiment's pair (seed 9, as the `pairing` binary runs it) with
+/// WhatsApp installed and its script run on the home, so the app sync
+/// carries the APK, the seeded database and the file the script wrote.
+#[test]
+fn nexus7_pairing_report_matches_the_seed_bytes() {
+    let app = spec("WhatsApp").expect("app in Table 3");
+    let (mut world, ids) = WorldBuilder::new()
+        .seed(9)
+        .device("nexus7", DeviceProfile::nexus7_2012())
+        .device("nexus7-2013", DeviceProfile::nexus7_2013())
+        .app(0, app.clone())
+        .build()
+        .unwrap();
+    world
+        .run_script(ids[0], &app.package, &app.actions.clone())
+        .unwrap();
+    let r = pair(&mut world, ids[0], ids[1]).unwrap();
+
+    assert_eq!(r.direction, "nexus7 -> nexus7-2013");
+    assert_eq!(r.packages, ["com.whatsapp"]);
+    assert_sync(
+        "system",
+        &r.system_sync,
+        &SyncGolden {
+            total: 460,
+            up_to_date: 0,
+            hard_linked: 207,
+            delta: 252,
+            full: 1,
+            considered: 225_060_864,
+            differing: 126_982_144,
+            shipped: 58_259_117,
+            cpu_ns: 2_227_165_072,
+        },
+    );
+    assert_sync(
+        "apps",
+        &r.app_sync,
+        &SyncGolden {
+            total: 3,
+            up_to_date: 0,
+            hard_linked: 0,
+            delta: 0,
+            full: 3,
+            considered: 21_479_424,
+            differing: 21_479_424,
+            shipped: 15_894_772,
+            cpu_ns: 519_802_060,
+        },
+    );
+    assert_eq!(r.elapsed.as_nanos(), 58_106_624_528, "elapsed");
+    assert_eq!(world.clock.now().as_nanos(), 58_107_214_847, "final clock");
+}
+
+/// The verification a migration's transfer stage runs: the standard pair
+/// is paired first, then WhatsApp's script writes `msgstore.db`, which is
+/// the one file the verification ships.
+#[test]
+fn verify_after_the_whatsapp_script_matches_the_seed_bytes() {
+    let app = spec("WhatsApp").expect("app in Table 3");
+    let (mut world, ids) = WorldBuilder::new()
+        .seed(common::SEED)
+        .device("h", DeviceProfile::nexus4())
+        .device("g", DeviceProfile::nexus7_2013())
+        .app(0, app.clone())
+        .pair(0, 1)
+        .build()
+        .unwrap();
+    world
+        .run_script(ids[0], &app.package, &app.actions.clone())
+        .unwrap();
+    let r = verify_app(&mut world, ids[0], ids[1], &app.package).unwrap();
+
+    assert_sync(
+        "verify",
+        &r,
+        &SyncGolden {
+            total: 3,
+            up_to_date: 2,
+            hard_linked: 0,
+            delta: 0,
+            full: 1,
+            considered: 21_479_424,
+            differing: 245_760,
+            shipped: 181_862,
+            cpu_ns: 52_661_452,
+        },
+    );
+    assert_eq!(world.clock.now().as_nanos(), 31_218_684_940, "final clock");
 }

@@ -3,6 +3,7 @@
 use flux_fs::{sync, Content, SimFs, SyncOptions};
 use flux_simcore::{ByteSize, CostModel};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A random file set: (name index, size KiB, content tag).
 fn files_strategy() -> impl Strategy<Value = Vec<(u8, u32, u8)>> {
@@ -20,8 +21,72 @@ fn build_fs(files: &[(u8, u32, u8)], root: &str) -> SimFs {
     fs
 }
 
+/// Path fragments whose concatenations share prefixes both at and inside
+/// path components: `/data/data/com.x` is a prefix of `/data/data/com.xy`.
+const FRAGMENTS: [&str; 8] = [
+    "/data",
+    "/data/data/com.x",
+    "y",
+    "/files",
+    "/system",
+    "/",
+    ".db",
+    "\u{e9}",
+];
+
+fn path_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..FRAGMENTS.len(), 1..5)
+        .prop_map(|ix| ix.iter().map(|&i| FRAGMENTS[i]).collect())
+}
+
+/// Prefixes that are whole fragment runs, runs cut at any character, the
+/// empty prefix, or one that sorts after every key.
+fn prefix_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        path_strategy(),
+        (path_strategy(), 0usize..40).prop_map(|(p, cut)| p.chars().take(cut).collect()),
+        Just(String::new()),
+        Just("\u{10ffff}".to_owned()),
+    ]
+}
+
+/// The whole-map filter `SimFs::list` must agree with: every written path
+/// that starts with `prefix`, in path order, with its content.
+fn filtered(model: &BTreeMap<String, Content>, prefix: &str) -> Vec<(String, Content)> {
+    model
+        .iter()
+        .filter(|(p, _)| p.starts_with(prefix))
+        .map(|(p, c)| (p.clone(), *c))
+        .collect()
+}
+
+fn listed(fs: &SimFs, prefix: &str) -> Vec<(String, Content)> {
+    fs.list(prefix)
+        .map(|(p, e)| (p.to_owned(), e.content))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SimFs::list`'s range walk yields exactly the entries, in exactly
+    /// the order, of a filter over the whole map.
+    #[test]
+    fn list_range_walk_matches_whole_map_filter(
+        paths in prop::collection::vec(path_strategy(), 0..40),
+        prefixes in prop::collection::vec(prefix_strategy(), 1..8),
+    ) {
+        let mut fs = SimFs::new();
+        let mut model = BTreeMap::new();
+        for (i, path) in paths.iter().enumerate() {
+            let content = Content::new(ByteSize::from_kib(i as u64 + 1), i as u64);
+            fs.write(path, content);
+            model.insert(path.clone(), content);
+        }
+        for prefix in &prefixes {
+            prop_assert_eq!(listed(&fs, prefix), filtered(&model, prefix), "prefix {:?}", prefix);
+        }
+    }
 
     /// After a sync, the destination mirrors the source: every source file
     /// exists at the destination with identical content.
@@ -122,4 +187,47 @@ fn same_hash_different_size_is_resynced() {
         Content::new(ByteSize::from_kib(1), 249),
         "destination must mirror the source's (size, hash), not just hash"
     );
+}
+
+/// The edge cases of the range walk, pinned outright: a prefix that is not
+/// a directory still matches longer names, the empty prefix lists every
+/// file, and a prefix sorting after every key lists none.
+#[test]
+fn list_range_walk_edge_cases() {
+    let paths = [
+        "/data/data/com.x",
+        "/data/data/com.x/files/a",
+        "/data/data/com.xy/files/b",
+        "/data/data/com.y/files/c",
+        "/system/lib/libc.so",
+    ];
+    let mut fs = SimFs::new();
+    let mut model = BTreeMap::new();
+    for (i, path) in paths.iter().enumerate() {
+        let content = Content::new(ByteSize::from_kib(1), i as u64);
+        fs.write(path, content);
+        model.insert((*path).to_owned(), content);
+    }
+    let names =
+        |prefix: &str| -> Vec<String> { listed(&fs, prefix).into_iter().map(|(p, _)| p).collect() };
+    assert_eq!(
+        names("/data/data/com.x"),
+        [
+            "/data/data/com.x",
+            "/data/data/com.x/files/a",
+            "/data/data/com.xy/files/b"
+        ]
+    );
+    assert_eq!(names(""), paths);
+    assert!(names("\u{10ffff}").is_empty());
+    assert!(names("/zzz").is_empty());
+    for prefix in [
+        "/data/data/com.x",
+        "",
+        "\u{10ffff}",
+        "/zzz",
+        "/data/data/com.x/",
+    ] {
+        assert_eq!(listed(&fs, prefix), filtered(&model, prefix), "{prefix:?}");
+    }
 }
