@@ -2,10 +2,17 @@
 //! profile (kernel, system services, `/system` partition), `pair` of a
 //! home running all 16 migratable Table 3 apps, and the `verify_app` pass
 //! every migration's transfer stage makes.
+//!
+//! Devices mount a shared `/system` image and an unwritten pairing mounts
+//! a stored mirror, so `pair_16_apps_n4_to_n7_2013` measures that shared
+//! path. `pair_16_apps_written_system` first writes one file under the
+//! home's `/system`, which copies its image, so the pairing runs the
+//! per-file rsync procedure over all 460 files.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flux_core::{pair, verify_app, FluxWorld, WorldBuilder};
 use flux_device::DeviceProfile;
+use flux_fs::Content;
 use flux_workloads::{top_apps, AppSpec};
 
 /// The Table 3 apps the engine can migrate, in table order.
@@ -61,6 +68,20 @@ fn bench_boot(c: &mut Criterion) {
     g.bench_function("pair_16_apps_n4_to_n7_2013", |b| {
         b.iter_batched(
             || staged(&apps),
+            |mut world| pair(&mut world, home, guest).unwrap(),
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("pair_16_apps_written_system", |b| {
+        b.iter_batched(
+            || {
+                let mut world = staged(&apps);
+                let fs = &mut world.device_mut(home).unwrap().fs;
+                let path = "/system/framework/services.jar";
+                let old = fs.get(path).unwrap().content;
+                fs.write(path, Content::new(old.size, old.hash ^ 1));
+                world
+            },
             |mut world| pair(&mut world, home, guest).unwrap(),
             BatchSize::LargeInput,
         )

@@ -5,14 +5,20 @@ use flux_device::DeviceProfile;
 use flux_fs::{sync, SimFs, SyncOptions};
 use flux_simcore::CostModel;
 
+/// A never-mounted copy of `profile`'s `/system`. Mounted images would
+/// let every sync after the first mount a stored mirror; flat copies keep
+/// each iteration on the per-file decision procedure.
+fn flat_system(profile: &DeviceProfile) -> SimFs {
+    let mut fs = SimFs::new();
+    flux_device::populate_system(&mut fs, profile);
+    fs.list("")
+        .map(|(p, e)| (p.into_owned(), e.clone()))
+        .collect()
+}
+
 fn bench_rsync(c: &mut Criterion) {
-    let mut home = SimFs::new();
-    flux_device::populate_system(&mut home, &DeviceProfile::nexus7_2012());
-    let guest_base = {
-        let mut g = SimFs::new();
-        flux_device::populate_system(&mut g, &DeviceProfile::nexus7_2013());
-        g
-    };
+    let home = flat_system(&DeviceProfile::nexus7_2012());
+    let guest_base = flat_system(&DeviceProfile::nexus7_2013());
     let bytes = home.total_size("/system").as_u64();
     let cost = CostModel::reference();
     let opts = SyncOptions {

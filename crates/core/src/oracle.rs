@@ -187,7 +187,7 @@ impl OracleSnapshot {
         let root = format!("/data/data/{package}");
         let mut tree: BTreeMap<String, flux_fs::Content> = dev
             .fs
-            .list(&root)
+            .list_under(&root)
             .map(|(path, entry)| (path.to_string(), entry.content))
             .collect();
         let mut log_len = 0;
@@ -490,7 +490,7 @@ impl OracleSnapshot {
         let root = format!("/data/data/{}", self.package);
         let mut now: BTreeMap<String, flux_fs::Content> = home_dev
             .fs
-            .list(&root)
+            .list_under(&root)
             .map(|(path, entry)| (path.to_string(), entry.content))
             .collect();
         if let Some(app) = home_dev.apps.get(&self.package) {

@@ -226,9 +226,10 @@ fn record_fs_metrics(world: &mut FluxWorld, report: &SyncReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorldBuilder;
+    use crate::{OracleSnapshot, WorldBuilder};
     use flux_device::DeviceProfile;
-    use flux_workloads::spec;
+    use flux_fs::{Content, SimFs};
+    use flux_workloads::{spec, AppSpec};
 
     #[test]
     fn pairing_a_device_with_itself_is_an_explicit_error() {
@@ -250,5 +251,137 @@ mod tests {
         // Refused before anything ran: no time, no pairing state.
         assert_eq!(world.clock.now(), before);
         assert!(world.device(ids[0]).unwrap().pairings.is_empty());
+    }
+
+    /// Every entry of `fs` in path order, mounted or private.
+    fn files(fs: &SimFs) -> Vec<(String, flux_fs::FileEntry)> {
+        fs.list("")
+            .map(|(p, e)| (p.into_owned(), e.clone()))
+            .collect()
+    }
+
+    /// A never-mounted copy of `fs`: every entry private.
+    fn flat(fs: &SimFs) -> SimFs {
+        files(fs).into_iter().collect()
+    }
+
+    /// Roots match whole path components: the data directory of `com.x`
+    /// does not take in that of `com.xy`, whether pairing, verifying or
+    /// capturing the oracle's promise.
+    #[test]
+    fn a_package_name_prefix_stays_out_of_its_neighbours_tree() {
+        let base = spec("WhatsApp").expect("spec");
+        let twin = |package: &str| AppSpec {
+            name: package.into(),
+            package: package.into(),
+            ..base.clone()
+        };
+        let (mut world, ids) = WorldBuilder::new()
+            .seed(7)
+            .device("phone", DeviceProfile::nexus4())
+            .device("tablet", DeviceProfile::nexus7_2013())
+            .app(0, twin("com.x"))
+            .app(0, twin("com.xy"))
+            .build()
+            .expect("build");
+        let (home, guest) = (ids[0], ids[1]);
+        let report = pair(&mut world, home, guest).unwrap();
+        // One APK and one data file per app.
+        assert_eq!(report.app_sync.files_total, 4);
+
+        let neighbour = |world: &mut FluxWorld, name: &str, mib: u64| {
+            world.device_mut(home).unwrap().fs.write(
+                &format!("/data/data/com.xy/files/{name}"),
+                Content::new(ByteSize::from_mib(mib), 99),
+            );
+        };
+        neighbour(&mut world, "new.bin", 3);
+        let verified = verify_app(&mut world, home, guest, "com.x").unwrap();
+        assert_eq!(verified.files_total, 2);
+        assert_eq!(verified.bytes_shipped, ByteSize::ZERO);
+
+        let snap = OracleSnapshot::capture(&world, home, guest, "com.x").unwrap();
+        assert_eq!(snap.file_count(), 1);
+        // A change to the neighbour's data breaks no promise of com.x.
+        neighbour(&mut world, "base.db", 1);
+        let refused = FluxError::World(WorldError::NoSuchApp("com.x".into()));
+        assert_eq!(snap.verdict(&world, Err(&refused)).failures, []);
+    }
+
+    /// Devices of one profile mount one `/system` image; a write on one
+    /// device copies its image first and never shows on another.
+    #[test]
+    fn a_write_under_a_shared_system_stays_on_its_device() {
+        let (mut world, ids) = WorldBuilder::new()
+            .seed(7)
+            .device("a", DeviceProfile::nexus4())
+            .device("b", DeviceProfile::nexus4())
+            .build()
+            .expect("build");
+        let path = "/system/lib/libc.so";
+        let image = world.device(ids[1]).unwrap().fs.get(path).cloned();
+        let written = Content::new(ByteSize::from_kib(1), 1);
+        world.device_mut(ids[0]).unwrap().fs.write(path, written);
+
+        let a = &world.device(ids[0]).unwrap().fs;
+        assert_eq!(a.get(path).map(|e| e.content), Some(written));
+        assert!(a.mounted_at("/system").is_none(), "a copied its image");
+        assert_eq!(world.device(ids[1]).unwrap().fs.get(path).cloned(), image);
+        let c = world.add_device("c", DeviceProfile::nexus4()).unwrap();
+        assert_eq!(world.device(c).unwrap().fs.get(path).cloned(), image);
+    }
+
+    /// The first pairing mounts the stored mirror; once the home writes
+    /// under its `/system`, a re-pair runs per file and ships exactly the
+    /// delta a sync between flat, never-mounted copies ships.
+    #[test]
+    fn a_re_pair_after_a_system_write_ships_the_per_file_delta() {
+        let (mut world, ids) = WorldBuilder::new()
+            .seed(7)
+            .device("phone", DeviceProfile::nexus4())
+            .device("tablet", DeviceProfile::nexus7_2013())
+            .build()
+            .expect("build");
+        let (home, guest) = (ids[0], ids[1]);
+        let first = pair(&mut world, home, guest).unwrap();
+        let mirror = "/data/flux/phone/system";
+        assert!(world.device(guest).unwrap().fs.mounted_at(mirror).is_some());
+
+        let path = "/system/framework/services.jar";
+        let old = world.device(home).unwrap().fs.get(path).unwrap().content;
+        world
+            .device_mut(home)
+            .unwrap()
+            .fs
+            .write(path, Content::new(old.size, old.hash ^ 1));
+        let opts = SyncOptions {
+            link_dest: Some("/system".into()),
+            ..SyncOptions::default()
+        };
+        let flat_home = flat(&world.device(home).unwrap().fs);
+        let g = world.device(guest).unwrap();
+        let mut flat_guest = flat(&g.fs);
+        let want = sync(
+            &flat_home,
+            "/system",
+            &mut flat_guest,
+            mirror,
+            &opts,
+            &g.cost,
+        )
+        .unwrap();
+
+        let again = pair(&mut world, home, guest).unwrap();
+        assert_eq!(again.system_sync, want);
+        assert_eq!(again.system_sync.files_delta, 1);
+        assert_eq!(
+            again.system_sync.files_up_to_date,
+            first.system_sync.files_total - 1
+        );
+        assert_eq!(
+            again.system_sync.bytes_shipped,
+            old.size.scale(0.60).scale(0.74)
+        );
+        assert_eq!(files(&world.device(guest).unwrap().fs), files(&flat_guest));
     }
 }

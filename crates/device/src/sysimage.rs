@@ -9,27 +9,19 @@
 //! file list*, but a calibrated fraction of the files carry device-specific
 //! contents (vendor libraries, device overlays, odexed jars).
 
-use crate::profile::DeviceProfile;
-use flux_fs::{Content, SimFs};
+use crate::profile::{DeviceModel, DeviceProfile};
+use flux_fs::{Content, SimFs, Tree};
 use flux_simcore::ByteSize;
-use std::sync::LazyLock;
-
-/// The FNV-1a offset basis: the hash of no bytes.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues an FNV-1a hash `h` over `bytes`, so hashing `a` and then `b`
-/// equals hashing their concatenation.
-fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Stable FNV-1a hash used to derive per-file identity.
 fn fnv(s: &str) -> u64 {
-    fnv_extend(FNV_BASIS, s.as_bytes())
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
 }
 
 /// Global size calibration (percent) applied to every manifest entry so the
@@ -145,58 +137,27 @@ fn manifest() -> Vec<(String, u64)> {
     files
 }
 
-/// One `/system` file with everything about it that no profile changes.
-struct SystemFile {
-    path: String,
-    /// Size after [`SIZE_SCALE_PCT`].
-    size: ByteSize,
-    /// The FNV-1a state after the path's bytes; each profile continues it
-    /// over its own suffix.
-    path_hash: u64,
-    /// Vendor files, and files picked by a stable per-path draw, carry
-    /// device-specific contents at the same Android version.
-    device_specific: bool,
-}
-
-/// The manifest with sizes scaled and per-path draws taken, built once:
-/// every device at one Android version shares the file list.
-static SYSTEM_FILES: LazyLock<Vec<SystemFile>> = LazyLock::new(|| {
-    manifest()
-        .into_iter()
-        .map(|(path, kib)| {
-            let path_hash = fnv(&path);
-            SystemFile {
-                size: ByteSize::from_kib((kib * SIZE_SCALE_PCT).div_ceil(100)),
-                device_specific: path.contains("vendor")
-                    || path_hash % 1000 < DEVICE_SPECIFIC_PER_MILLE,
-                path_hash,
-                path,
-            }
-        })
-        .collect()
-});
-
-/// Populates `fs` with a complete `/system` partition for `profile`.
-///
-/// Files identical across devices hash by `(path, android_version)`;
-/// device-specific files (and the profile's GPU library) hash by `(path,
-/// model, android_version)`. The GPU vendor library is added explicitly
-/// since Flux must swap it on migration.
-pub fn populate_system(fs: &mut SimFs, profile: &DeviceProfile) {
-    // A file's identity is the FNV-1a hash of `{path}:{version}`, or of
-    // `{path}:{version}:{model:?}` when it is device-specific.
-    let shared = format!(":{}", profile.android_version);
-    let specific = format!("{shared}:{:?}", profile.model);
-    for file in SYSTEM_FILES.iter() {
-        let suffix = if file.device_specific || file.path.ends_with(&profile.gpu.vendor_lib) {
-            &specific
+/// Writes a complete `/system` partition for `profile` into `fs`, one
+/// file at a time. The GPU vendor library is added explicitly since Flux
+/// must swap it on migration.
+fn write_system(fs: &mut SimFs, profile: &DeviceProfile) {
+    let is_device_specific = |path: &str| {
+        path.contains("vendor")
+            || path.ends_with(&profile.gpu.vendor_lib)
+            || fnv(path) % 1000 < DEVICE_SPECIFIC_PER_MILLE
+    };
+    for (path, kib) in manifest() {
+        let kib = (kib * SIZE_SCALE_PCT).div_ceil(100);
+        let hash = if is_device_specific(&path) {
+            fnv(&format!(
+                "{}:{}:{:?}",
+                path, profile.android_version, profile.model
+            ))
         } else {
-            &shared
+            fnv(&format!("{}:{}", path, profile.android_version))
         };
-        let hash = fnv_extend(file.path_hash, suffix.as_bytes());
-        fs.write(&file.path, Content::new(file.size, hash));
+        fs.write(&path, Content::new(ByteSize::from_kib(kib), hash));
     }
-    // The vendor GPU library, always device-specific.
     let vendor_path = format!("/system/vendor/lib/egl/{}", profile.gpu.vendor_lib);
     fs.write(
         &vendor_path,
@@ -207,58 +168,118 @@ pub fn populate_system(fs: &mut SimFs, profile: &DeviceProfile) {
     );
 }
 
+/// What a `/system` image depends on: Android version, model and GPU
+/// vendor library.
+type ImageKey = (String, DeviceModel, String);
+
+/// Every `/system` image built so far in this process.
+static IMAGES: Mutex<Vec<(ImageKey, Arc<Tree>)>> = Mutex::new(Vec::new());
+
+/// Mounts the `/system` partition for `profile` on `fs`.
+///
+/// Files identical across devices hash by `(path, android_version)`;
+/// device-specific files (and the profile's GPU library) hash by `(path,
+/// model, android_version)`. Every device of one Android version, model
+/// and GPU library therefore carries the same partition, so the image is
+/// built once per process and every device mounts that one shared tree. A
+/// write under the device's `/system` copies the tree first, so it never
+/// shows on another device.
+pub fn populate_system(fs: &mut SimFs, profile: &DeviceProfile) {
+    let key = (
+        profile.android_version.clone(),
+        profile.model,
+        profile.gpu.vendor_lib.clone(),
+    );
+    let image = {
+        // Every update is one push, so the list stays valid after a panic.
+        let mut images = IMAGES.lock().unwrap_or_else(PoisonError::into_inner);
+        match images.iter().find(|(k, _)| *k == key) {
+            Some((_, image)) => Arc::clone(image),
+            None => {
+                let mut flat = SimFs::new();
+                write_system(&mut flat, profile);
+                let image = Arc::new(flat.tree_at("/system"));
+                images.push((key, Arc::clone(&image)));
+                image
+            }
+        }
+    };
+    fs.mount("/system", image);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flux_fs::{sync, SyncOptions};
+    use flux_simcore::CostModel;
 
-    /// The per-file `format!` hashing `populate_system` replaced, kept as
-    /// the oracle its table must reproduce byte for byte.
-    fn reference_populate(fs: &mut SimFs, profile: &DeviceProfile) {
-        let is_device_specific = |path: &str| {
-            path.contains("vendor")
-                || path.ends_with(&profile.gpu.vendor_lib)
-                || fnv(path) % 1000 < DEVICE_SPECIFIC_PER_MILLE
-        };
-        for (path, kib) in manifest() {
-            let kib = (kib * SIZE_SCALE_PCT).div_ceil(100);
-            let hash = if is_device_specific(&path) {
-                fnv(&format!(
-                    "{}:{}:{:?}",
-                    path, profile.android_version, profile.model
-                ))
-            } else {
-                fnv(&format!("{}:{}", path, profile.android_version))
-            };
-            fs.write(&path, Content::new(ByteSize::from_kib(kib), hash));
-        }
-        let vendor_path = format!("/system/vendor/lib/egl/{}", profile.gpu.vendor_lib);
-        fs.write(
-            &vendor_path,
-            Content::new(
-                ByteSize::from_kib(6_200),
-                fnv(&format!("{vendor_path}:{:?}", profile.model)),
-            ),
-        );
+    fn files(fs: &SimFs) -> Vec<(String, flux_fs::FileEntry)> {
+        fs.list("")
+            .map(|(p, e)| (p.into_owned(), e.clone()))
+            .collect()
     }
 
-    #[test]
-    fn populate_system_matches_the_format_reference() {
-        for profile in [
+    fn profiles() -> [DeviceProfile; 3] {
+        [
             DeviceProfile::nexus4(),
             DeviceProfile::nexus7_2012(),
             DeviceProfile::nexus7_2013(),
-        ] {
-            let mut table = SimFs::new();
+        ]
+    }
+
+    /// The mounted image lists exactly what the per-file `format!` writer
+    /// puts into a flat filesystem, and devices of one profile share it.
+    #[test]
+    fn populate_system_matches_the_format_reference() {
+        for profile in profiles() {
+            let mut mounted = SimFs::new();
+            let mut again = SimFs::new();
             let mut reference = SimFs::new();
-            populate_system(&mut table, &profile);
-            reference_populate(&mut reference, &profile);
-            let files = |fs: &SimFs| -> Vec<(String, flux_fs::FileEntry)> {
-                fs.list("")
-                    .map(|(p, e)| (p.to_owned(), e.clone()))
-                    .collect()
-            };
-            assert_eq!(table.len(), 460, "{:?}", profile.model);
-            assert_eq!(files(&table), files(&reference), "{:?}", profile.model);
+            populate_system(&mut mounted, &profile);
+            populate_system(&mut again, &profile);
+            write_system(&mut reference, &profile);
+            assert_eq!(mounted.len(), 460, "{:?}", profile.model);
+            assert_eq!(files(&mounted), files(&reference), "{:?}", profile.model);
+            let shared = |fs: &SimFs| Arc::as_ptr(fs.mounted_at("/system").unwrap());
+            assert_eq!(shared(&mounted), shared(&again), "{:?}", profile.model);
+        }
+    }
+
+    /// For every (home, guest) pair of profiles, the pairing sync's stored
+    /// mirror and report equal a fresh per-file sync between flat,
+    /// never-mounted filesystems. The guest's cost model sets `cpu_time`,
+    /// so each pair is its own stored result. The first sync here computes
+    /// it (nothing else in this test binary syncs) and the second mounts
+    /// the stored one; both must match.
+    #[test]
+    fn stored_pairing_mirrors_equal_a_flat_per_file_sync() {
+        let root = "/data/flux/home/system";
+        let opts = SyncOptions {
+            link_dest: Some("/system".into()),
+            ..SyncOptions::default()
+        };
+        for home_profile in profiles() {
+            let mut home = SimFs::new();
+            populate_system(&mut home, &home_profile);
+            let flat_home: SimFs = files(&home).into_iter().collect();
+            for guest_profile in profiles() {
+                let cost = CostModel::reference().scaled(guest_profile.cpu_scale);
+                let mut flat_guest = SimFs::new();
+                write_system(&mut flat_guest, &guest_profile);
+                let want =
+                    sync(&flat_home, "/system", &mut flat_guest, root, &opts, &cost).unwrap();
+                let case = format!("{:?} -> {:?}", home_profile.model, guest_profile.model);
+                let mut mirrors = Vec::new();
+                for pass in ["computing", "stored"] {
+                    let mut guest = SimFs::new();
+                    populate_system(&mut guest, &guest_profile);
+                    let got = sync(&home, "/system", &mut guest, root, &opts, &cost).unwrap();
+                    assert_eq!(got, want, "{case}, {pass} report");
+                    assert_eq!(files(&guest), files(&flat_guest), "{case}, {pass} mirror");
+                    mirrors.push(Arc::as_ptr(guest.mounted_at(root).expect("mirror mounted")));
+                }
+                assert_eq!(mirrors[0], mirrors[1], "{case}: the second sync reuses");
+            }
         }
     }
 
@@ -281,11 +302,11 @@ mod tests {
         populate_system(&mut b, &DeviceProfile::nexus4());
         let files_a: Vec<_> = a
             .list("/system")
-            .map(|(p, e)| (p.to_owned(), e.clone()))
+            .map(|(p, e)| (p.into_owned(), e.clone()))
             .collect();
         let files_b: Vec<_> = b
             .list("/system")
-            .map(|(p, e)| (p.to_owned(), e.clone()))
+            .map(|(p, e)| (p.into_owned(), e.clone()))
             .collect();
         assert_eq!(files_a, files_b);
     }
@@ -300,7 +321,7 @@ mod tests {
         let mut total = 0u64;
         for (path, e) in home.list("/system") {
             total += e.content.size.as_u64();
-            if let Some(g) = guest.get(path) {
+            if let Some(g) = guest.get(&path) {
                 if g.content.hash == e.content.hash {
                     identical += e.content.size.as_u64();
                 }

@@ -7,11 +7,22 @@
 //! file size and a content hash — exactly the information that sync
 //! decision needs — plus hard-link identity so the pairing-cost experiment
 //! (§4) can report "after hard linking" numbers.
+//!
+//! Every device of one model and Android version carries the same
+//! `/system` (§4), so a filesystem can mount a shared, immutable [`Tree`]
+//! at a directory instead of holding its own copy of every entry. Reads
+//! see mounted entries exactly as private ones; the first change at or
+//! under a mount point copies that tree into the filesystem's private
+//! entries (copy-on-write per mount).
 
+use crate::rsync::StoredSync;
 use flux_simcore::ByteSize;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::Peekable;
 use std::ops::Bound;
+use std::sync::{Arc, Mutex};
 
 /// Content identity of a file: size plus a collision-free hash stand-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,21 +69,95 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
-/// A flat-namespace filesystem keyed by absolute path.
+/// The part of `path` at or under `root`, matching whole path components:
+/// `Some("")` for `root` itself, `Some("/…")` for a path below it, and
+/// `None` otherwise — in particular for a string sibling such as
+/// `{root}y` or `{root}.bak`.
+pub(crate) fn under<'p>(path: &'p str, root: &str) -> Option<&'p str> {
+    path.strip_prefix(root)
+        .filter(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
+/// The entries of `files` whose path starts with `prefix`, in path order.
+/// They form one contiguous run of the sorted map that starts at `prefix`
+/// itself, so this walks only that run.
+fn with_prefix<'m: 'p, 'p>(
+    files: &'m BTreeMap<String, FileEntry>,
+    prefix: &'p str,
+) -> impl Iterator<Item = (&'m String, &'m FileEntry)> + 'p {
+    files
+        .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(p, _)| p.starts_with(prefix))
+}
+
+/// An immutable set of files that filesystems share by mounting it.
+///
+/// Keys are paths relative to the mount point: `""` is the mount point
+/// itself and `"/lib/libc.so"` a file below it. Trees are only built by
+/// [`SimFs::tree_at`] and never change afterwards. A tree also keeps the
+/// results of syncs made from it, so a later sync of the same kind mounts
+/// the stored mirror instead of re-deciding every file (see
+/// [`crate::rsync::sync`]).
+#[derive(Debug)]
+pub struct Tree {
+    files: BTreeMap<String, FileEntry>,
+    pub(crate) synced: Mutex<Vec<StoredSync>>,
+}
+
+impl Tree {
+    pub(crate) fn len(&self) -> usize {
+        self.files.len()
+    }
+
+    /// The entries whose path, with the tree mounted at `point`, starts
+    /// with `prefix`. Every such path starts with `point`, so a prefix of
+    /// `point` takes the whole tree, and a longer prefix must extend
+    /// `point` and then selects a run of the tree's own keys.
+    fn matching<'t: 'p, 'p>(
+        &'t self,
+        point: &str,
+        prefix: &'p str,
+    ) -> impl Iterator<Item = (&'t String, &'t FileEntry)> + 'p {
+        let rel = if point.starts_with(prefix) {
+            Some("")
+        } else {
+            prefix.strip_prefix(point)
+        };
+        rel.into_iter()
+            .flat_map(move |rel| with_prefix(&self.files, rel))
+    }
+}
+
+/// A path and its entry, as [`SimFs::list`] yields them: private paths
+/// are borrowed, mounted ones are built from mount point and tree key.
+type Listed<'s> = (Cow<'s, str>, &'s FileEntry);
+
+/// A filesystem keyed by absolute path.
 ///
 /// # Examples
 ///
 /// ```
 /// use flux_fs::{Content, SimFs};
 /// use flux_simcore::ByteSize;
+/// use std::sync::Arc;
 ///
 /// let mut fs = SimFs::new();
 /// fs.write("/system/framework/framework.jar", Content::new(ByteSize::from_mib(6), 77));
 /// assert_eq!(fs.total_size("/system").as_mib_f64(), 6.0);
+///
+/// // Another filesystem shares the same /system without copying it.
+/// let image = Arc::new(fs.tree_at("/system"));
+/// let mut other = SimFs::new();
+/// other.mount("/system", Arc::clone(&image));
+/// assert!(other.exists("/system/framework/framework.jar"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimFs {
+    /// Entries this filesystem holds itself. None lies at or under a
+    /// mount point.
     files: BTreeMap<String, FileEntry>,
+    /// Shared trees by mount point. No mount point lies under another.
+    mounts: BTreeMap<String, Arc<Tree>>,
 }
 
 impl SimFs {
@@ -83,6 +168,7 @@ impl SimFs {
 
     /// Creates or replaces a regular file.
     pub fn write(&mut self, path: &str, content: Content) {
+        self.unshare(path);
         self.files.insert(
             path.to_owned(),
             FileEntry {
@@ -96,10 +182,10 @@ impl SimFs {
     /// target's content and occupies no additional space.
     pub fn hard_link(&mut self, path: &str, target: &str) -> Result<(), FsError> {
         let content = self
-            .files
             .get(target)
             .ok_or_else(|| FsError::BadLinkTarget(target.to_owned()))?
             .content;
+        self.unshare(path);
         self.files.insert(
             path.to_owned(),
             FileEntry {
@@ -112,40 +198,138 @@ impl SimFs {
 
     /// Removes a file.
     pub fn remove(&mut self, path: &str) -> Result<FileEntry, FsError> {
+        if !self.exists(path) {
+            return Err(FsError::NotFound(path.to_owned()));
+        }
+        self.unshare(path);
         self.files
             .remove(path)
             .ok_or_else(|| FsError::NotFound(path.to_owned()))
     }
 
-    /// Removes everything under `prefix`, returning how many entries went.
+    /// Removes every file whose path starts with `prefix`, returning how
+    /// many went. A mount all of whose paths match is dropped whole.
     pub fn remove_tree(&mut self, prefix: &str) -> usize {
+        let mut removed = 0;
+        self.mounts.retain(|point, tree| {
+            let whole = point.starts_with(prefix);
+            if whole {
+                removed += tree.len();
+            }
+            !whole
+        });
+        let partial: Vec<String> = self
+            .mounts
+            .iter()
+            .filter(|(point, tree)| tree.matching(point, prefix).next().is_some())
+            .map(|(point, _)| point.clone())
+            .collect();
+        for point in partial {
+            self.unshare(&point);
+        }
         let before = self.files.len();
         self.files.retain(|p, _| !p.starts_with(prefix));
-        before - self.files.len()
+        removed + before - self.files.len()
+    }
+
+    /// Mounts `tree` at `point`, replacing everything that lay at or under
+    /// it. Nothing is copied: every filesystem that mounts one tree shares
+    /// its entries until it changes something at or under `point`.
+    pub fn mount(&mut self, point: &str, tree: Arc<Tree>) {
+        self.mounts.retain(|p, _| under(p, point).is_none());
+        // An enclosing mount is copied out, so mounts never nest.
+        self.unshare(point);
+        self.files.retain(|p, _| under(p, point).is_none());
+        self.mounts.insert(point.to_owned(), tree);
+    }
+
+    /// The tree mounted exactly at `point`, if any.
+    pub fn mounted_at(&self, point: &str) -> Option<&Arc<Tree>> {
+        self.mounts.get(point)
+    }
+
+    /// Copies everything at or under `root` into a new tree keyed relative
+    /// to `root`, so mounting it at `root` of another filesystem lists the
+    /// same entries there.
+    pub fn tree_at(&self, root: &str) -> Tree {
+        let files = self
+            .list_under(root)
+            .map(|(path, entry)| {
+                let rel = under(&path, root).expect("list_under() stays under root");
+                (rel.to_owned(), entry.clone())
+            })
+            .collect();
+        Tree {
+            files,
+            synced: Mutex::default(),
+        }
+    }
+
+    /// The mount holding `path`, with `path` relative to its point.
+    fn mount_of<'p>(&self, path: &'p str) -> Option<(&str, &Tree, &'p str)> {
+        self.mounts
+            .iter()
+            .find_map(|(point, tree)| under(path, point).map(|rel| (point.as_str(), &**tree, rel)))
+    }
+
+    /// Copies the tree mounted over `path`, if any, into the private
+    /// entries, so `path` can change without touching the shared tree.
+    fn unshare(&mut self, path: &str) {
+        let Some(point) = self.mount_of(path).map(|(point, ..)| point.to_owned()) else {
+            return;
+        };
+        let tree = self.mounts.remove(&point).expect("mount_of() found it");
+        for (rel, entry) in &tree.files {
+            self.files.insert(format!("{point}{rel}"), entry.clone());
+        }
     }
 
     /// Looks up a file.
     pub fn get(&self, path: &str) -> Option<&FileEntry> {
-        self.files.get(path)
+        match self.mount_of(path) {
+            Some((_, tree, rel)) => tree.files.get(rel),
+            None => self.files.get(path),
+        }
     }
 
     /// Whether `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(path)
+        self.get(path).is_some()
     }
 
     /// All `(path, entry)` pairs whose path starts with `prefix`, in path
-    /// order. The paths sharing a prefix are one contiguous run of the
-    /// sorted map, starting at `prefix` itself, so this walks only that
-    /// run.
+    /// order, mounted and private alike. Mounted paths are built on the
+    /// way, so they come back owned.
     pub fn list<'s: 'p, 'p>(
         &'s self,
         prefix: &'p str,
-    ) -> impl Iterator<Item = (&'s str, &'s FileEntry)> + 'p {
-        self.files
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(p, _)| p.starts_with(prefix))
-            .map(|(p, e)| (p.as_str(), e))
+    ) -> impl Iterator<Item = (Cow<'s, str>, &'s FileEntry)> + 'p {
+        let mut mounted: Vec<Listed<'s>> = Vec::new();
+        for (point, tree) in &self.mounts {
+            mounted.extend(
+                tree.matching(point, prefix)
+                    .map(|(rel, e)| (Cow::Owned(format!("{point}{rel}")), e)),
+            );
+        }
+        // Mount points never nest, but one mount's paths can still fall
+        // between another's: `/a-b` sorts between `/a` and `/a/x`.
+        mounted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let private = with_prefix(&self.files, prefix).map(|(p, e)| (Cow::Borrowed(p.as_str()), e));
+        Merge {
+            a: private.peekable(),
+            b: mounted.into_iter().peekable(),
+        }
+    }
+
+    /// All `(path, entry)` pairs at or under `root`, in path order. Unlike
+    /// [`SimFs::list`], this matches whole path components: `root` itself
+    /// or `root/…`, never a string sibling such as `{root}y`.
+    pub fn list_under<'s: 'p, 'p>(
+        &'s self,
+        root: &'p str,
+    ) -> impl Iterator<Item = (Cow<'s, str>, &'s FileEntry)> + 'p {
+        self.list(root)
+            .filter(move |(path, _)| under(path, root).is_some())
     }
 
     /// Number of files under `prefix`.
@@ -167,31 +351,60 @@ impl SimFs {
             .sum()
     }
 
-    /// Finds a path under `prefix` whose content hash equals `hash`.
-    /// This is the `--link-dest` candidate search.
-    pub fn find_by_hash(&self, prefix: &str, hash: u64) -> Option<&str> {
-        self.list(prefix)
-            .find(|(_, e)| e.content.hash == hash)
-            .map(|(p, _)| p)
-    }
-
-    /// Finds a path under `prefix` whose content (size *and* hash) equals
-    /// `content` — rsync compares sizes before checksums, so identity means
-    /// both.
-    pub fn find_identical(&self, prefix: &str, content: Content) -> Option<&str> {
-        self.list(prefix)
+    /// Finds the first path at or under `root` whose content (size *and*
+    /// hash) equals `content`. This is the `--link-dest` candidate search;
+    /// rsync compares sizes before checksums, so identity means both.
+    pub fn find_identical(&self, root: &str, content: Content) -> Option<Cow<'_, str>> {
+        self.list_under(root)
             .find(|(_, e)| e.content == content)
             .map(|(p, _)| p)
     }
 
     /// Total number of files.
     pub fn len(&self) -> usize {
-        self.files.len()
+        self.files.len() + self.mounts.values().map(|t| t.len()).sum::<usize>()
     }
 
     /// Whether the filesystem is empty.
     pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
+        self.len() == 0
+    }
+}
+
+/// A filesystem holding exactly `entries`, every one private.
+impl FromIterator<(String, FileEntry)> for SimFs {
+    fn from_iter<I: IntoIterator<Item = (String, FileEntry)>>(entries: I) -> Self {
+        Self {
+            files: entries.into_iter().collect(),
+            mounts: BTreeMap::new(),
+        }
+    }
+}
+
+/// Two path-ordered runs merged into one. No path is in both: private
+/// entries never lie under a mount point.
+struct Merge<'s, A: Iterator<Item = Listed<'s>>, B: Iterator<Item = Listed<'s>>> {
+    a: Peekable<A>,
+    b: Peekable<B>,
+}
+
+impl<'s, A, B> Iterator for Merge<'s, A, B>
+where
+    A: Iterator<Item = Listed<'s>>,
+    B: Iterator<Item = Listed<'s>>,
+{
+    type Item = Listed<'s>;
+
+    fn next(&mut self) -> Option<Listed<'s>> {
+        let a_first = match (self.a.peek(), self.b.peek()) {
+            (Some(a), Some(b)) => a.0 < b.0,
+            (a, _) => a.is_some(),
+        };
+        if a_first {
+            self.a.next()
+        } else {
+            self.b.next()
+        }
     }
 }
 
@@ -238,15 +451,19 @@ mod tests {
     }
 
     #[test]
-    fn find_by_hash_locates_link_dest_candidates() {
+    fn find_identical_locates_link_dest_candidates() {
         let mut fs = SimFs::new();
         fs.write("/system/framework/services.jar", c(5, 42));
+        fs.write("/system.bak/services.jar", c(5, 43));
         assert_eq!(
-            fs.find_by_hash("/system", 42),
+            fs.find_identical("/system", c(5, 42)).as_deref(),
             Some("/system/framework/services.jar")
         );
-        assert_eq!(fs.find_by_hash("/system", 43), None);
-        assert_eq!(fs.find_by_hash("/data", 42), None);
+        // Same hash, other size: not identical.
+        assert_eq!(fs.find_identical("/system", c(6, 42)), None);
+        assert_eq!(fs.find_identical("/data", c(5, 42)), None);
+        // `/system.bak` is a string sibling, not a file under `/system`.
+        assert_eq!(fs.find_identical("/system", c(5, 43)), None);
     }
 
     #[test]
@@ -261,5 +478,30 @@ mod tests {
             fs.remove("/data/data/com.x/files/a"),
             Err(FsError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn a_write_under_a_mount_copies_it_and_leaves_the_tree_alone() {
+        let mut image = SimFs::new();
+        image.write("/system/lib/libc.so", c(1, 1));
+        image.write("/system/lib/libm.so", c(2, 2));
+        let tree = Arc::new(image.tree_at("/system"));
+        let (mut a, mut b) = (SimFs::new(), SimFs::new());
+        a.mount("/system", Arc::clone(&tree));
+        b.mount("/system", Arc::clone(&tree));
+        a.write("/system.bak", c(3, 3));
+        assert!(a.mounted_at("/system").is_some(), "a sibling is not under");
+
+        a.write("/system/lib/libc.so", c(1, 9));
+        assert!(a.mounted_at("/system").is_none());
+        assert_eq!(a.get("/system/lib/libc.so").unwrap().content, c(1, 9));
+        assert_eq!(a.get("/system/lib/libm.so").unwrap().content, c(2, 2));
+        assert_eq!(b.get("/system/lib/libc.so").unwrap().content, c(1, 1));
+        assert_eq!(tree.len(), 2);
+        let names: Vec<String> = a.list("/sys").map(|(p, _)| p.into_owned()).collect();
+        assert_eq!(
+            names,
+            ["/system.bak", "/system/lib/libc.so", "/system/lib/libm.so"]
+        );
     }
 }

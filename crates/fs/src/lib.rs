@@ -6,10 +6,12 @@
 //! ([`SimFs`]) and the synchroniser ([`rsync::sync`]) whose byte accounting
 //! drives both the transfer stage of every migration and the §4
 //! pairing-cost experiment (215 MB constant data → 123 MB after hard links
-//! → 56 MB compressed delta).
+//! → 56 MB compressed delta). Devices of one profile share their
+//! `/system` as one mounted [`Tree`], and pairings of one kind share the
+//! mirror a sync leaves behind.
 
 pub mod fs;
 pub mod rsync;
 
-pub use fs::{Content, FileEntry, FsError, SimFs};
+pub use fs::{Content, FileEntry, FsError, SimFs, Tree};
 pub use rsync::{sync, sync_with_budget, FileAction, SyncOptions, SyncReport};

@@ -9,8 +9,10 @@
 //! charges hashing time to the cost model; the bytes it reports feed the
 //! transfer model and the §4 pairing-cost experiment.
 
-use crate::fs::{FsError, SimFs};
+use crate::fs::{under, FsError, SimFs, Tree};
 use flux_simcore::{ByteSize, CostModel, SimDuration};
+use std::borrow::Cow;
+use std::sync::{Arc, PoisonError, Weak};
 
 /// How one file was handled by a sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +29,7 @@ pub enum FileAction {
 }
 
 /// Options controlling a sync.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyncOptions {
     /// Directory on the destination searched for identical files to
     /// hard-link against (rsync's `--link-dest`). `None` disables linking.
@@ -106,14 +108,50 @@ impl SyncReport {
     }
 }
 
-/// Synchronises everything under `src_root` in `src` to the corresponding
-/// paths under `dst_root` in `dst`.
+/// A sync result kept on its source tree (see [`sync`]): the mirror it
+/// left under the destination root, keyed relative to that root, and its
+/// report.
+#[derive(Debug)]
+pub(crate) struct StoredSync {
+    /// The tree mounted at `--link-dest`, if linking was on. The `Weak`
+    /// keeps the allocation alive, so no later tree can take its address
+    /// and match by mistake.
+    link: Option<Weak<Tree>>,
+    opts: SyncOptions,
+    cost: CostModel,
+    mirror: Arc<Tree>,
+    report: SyncReport,
+}
+
+impl StoredSync {
+    fn matches(&self, link: Option<&Arc<Tree>>, opts: &SyncOptions, cost: &CostModel) -> bool {
+        let same_link = match (&self.link, link) {
+            (Some(held), Some(link)) => std::ptr::eq(held.as_ptr(), Arc::as_ptr(link)),
+            (None, None) => true,
+            _ => false,
+        };
+        same_link && self.opts == *opts && self.cost == *cost
+    }
+}
+
+/// Synchronises everything at or under `src_root` in `src` to the
+/// corresponding paths under `dst_root` in `dst`. Roots match whole path
+/// components: `/data/data/com.x` does not take in `/data/data/com.xy`.
 ///
 /// Per file the decision mirrors rsync:
 /// 1. identical path+hash at destination → skip;
 /// 2. identical *hash* anywhere under `link_dest` → hard link;
 /// 3. same path, different hash → ship a delta;
 /// 4. otherwise → ship the full file.
+///
+/// When the source is a [`Tree`] mounted at `src_root`, the destination
+/// holds nothing at or under `dst_root`, and `link_dest` (if set) is a
+/// mount point of `dst` apart from `dst_root`, every decision depends only
+/// on the two trees, the options and the cost model. The first such sync
+/// runs the per-file procedure on fresh filesystems holding just those
+/// trees and stores the mirror and report on the source tree; every later
+/// one of that kind mounts the stored mirror at `dst_root` and returns the
+/// stored report.
 pub fn sync(
     src: &SimFs,
     src_root: &str,
@@ -132,7 +170,7 @@ pub fn sync(
 /// later run over the same roots resumes where this one stopped: completed
 /// files classify as [`FileAction::UpToDate`] and are not re-sent. This is
 /// the filesystem half of Flux's resumable transfer — an interrupted sync
-/// never re-ships delivered data.
+/// never re-ships delivered data. A budgeted sync always runs per file.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_with_budget(
     src: &SimFs,
@@ -143,17 +181,106 @@ pub fn sync_with_budget(
     cost: &CostModel,
     budget: Option<ByteSize>,
 ) -> Result<(SyncReport, bool), FsError> {
+    if budget.is_none() {
+        if let Some((tree, link)) = shared_inputs(src, src_root, dst, dst_root, opts) {
+            let (mirror, report) = stored_sync(tree, link, src_root, dst_root, opts, cost)?;
+            dst.mount(dst_root, mirror);
+            return Ok((report, true));
+        }
+    }
+    sync_files(src, src_root, dst, dst_root, opts, cost, budget)
+}
+
+/// The source tree and `--link-dest` tree when a sync's outcome depends on
+/// nothing else (see [`sync`]).
+fn shared_inputs<'s>(
+    src: &'s SimFs,
+    src_root: &str,
+    dst: &'s SimFs,
+    dst_root: &str,
+    opts: &SyncOptions,
+) -> Option<(&'s Arc<Tree>, Option<&'s Arc<Tree>>)> {
+    let tree = src.mounted_at(src_root)?;
+    if dst.list_under(dst_root).next().is_some() {
+        return None;
+    }
+    let link = match opts.link_dest.as_deref() {
+        None => None,
+        Some(link_dest) => {
+            if under(dst_root, link_dest).is_some() || under(link_dest, dst_root).is_some() {
+                return None;
+            }
+            Some(dst.mounted_at(link_dest)?)
+        }
+    };
+    Some((tree, link))
+}
+
+/// The stored mirror and report for a sync from `tree` against `link`,
+/// computed and stored on `tree` first if no sync of this kind ran yet.
+fn stored_sync(
+    tree: &Arc<Tree>,
+    link: Option<&Arc<Tree>>,
+    src_root: &str,
+    dst_root: &str,
+    opts: &SyncOptions,
+    cost: &CostModel,
+) -> Result<(Arc<Tree>, SyncReport), FsError> {
+    let find = |stored: &[StoredSync]| {
+        stored
+            .iter()
+            .find(|s| s.matches(link, opts, cost))
+            .map(|s| (Arc::clone(&s.mirror), s.report.clone()))
+    };
+    // Every update is one push, so the list stays valid after a panic.
+    let lock = || tree.synced.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = find(&lock()) {
+        return Ok(hit);
+    }
+    let mut src = SimFs::new();
+    src.mount(src_root, Arc::clone(tree));
+    let mut dst = SimFs::new();
+    if let (Some(link_dest), Some(link)) = (&opts.link_dest, link) {
+        dst.mount(link_dest, Arc::clone(link));
+    }
+    let (report, _) = sync_files(&src, src_root, &mut dst, dst_root, opts, cost, None)?;
+    let mirror = Arc::new(dst.tree_at(dst_root));
+    let mut stored = lock();
+    // Another thread may have stored the same result meanwhile.
+    if let Some(hit) = find(&stored) {
+        return Ok(hit);
+    }
+    stored.push(StoredSync {
+        link: link.map(Arc::downgrade),
+        opts: opts.clone(),
+        cost: cost.clone(),
+        mirror: Arc::clone(&mirror),
+        report: report.clone(),
+    });
+    Ok((mirror, report))
+}
+
+/// The per-file decision procedure: every sync's outcome is the one this
+/// gives.
+#[allow(clippy::too_many_arguments)]
+fn sync_files(
+    src: &SimFs,
+    src_root: &str,
+    dst: &mut SimFs,
+    dst_root: &str,
+    opts: &SyncOptions,
+    cost: &CostModel,
+    budget: Option<ByteSize>,
+) -> Result<(SyncReport, bool), FsError> {
     let mut report = SyncReport::default();
-    for (src_path, entry) in src.list(src_root) {
+    for (src_path, entry) in src.list_under(src_root) {
         let content = entry.content;
         if let Some(budget) = budget {
             if report.bytes_shipped >= budget {
                 return Ok((report, false));
             }
         }
-        let rel = src_path
-            .strip_prefix(src_root)
-            .expect("list() returned a path under src_root");
+        let rel = under(&src_path, src_root).expect("list_under() stays under src_root");
         let dst_path = format!("{dst_root}{rel}");
         report.files_total += 1;
         report.bytes_considered += content.size;
@@ -177,10 +304,8 @@ pub fn sync_with_budget(
                     .as_deref()
                     .expect("linking implies link_dest");
                 let target = basis_path
-                    .as_deref()
                     .filter(|p| dst.get(p).is_some_and(|e| e.content == content))
-                    .map(str::to_owned)
-                    .or_else(|| dst.find_identical(link_dest, content).map(str::to_owned))
+                    .or_else(|| dst.find_identical(link_dest, content).map(Cow::into_owned))
                     .expect("decide() found a link candidate");
                 dst.hard_link(&dst_path, &target)?;
                 report.files_hard_linked += 1;
@@ -430,5 +555,47 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.bytes_shipped, r.bytes_differing);
+    }
+
+    fn listing(fs: &SimFs) -> Vec<(String, crate::fs::FileEntry)> {
+        fs.list("")
+            .map(|(p, e)| (p.into_owned(), e.clone()))
+            .collect()
+    }
+
+    /// A destination root under `--link-dest` lets a sync link against
+    /// files it wrote itself, so its outcome depends on the roots and must
+    /// not be stored for syncs elsewhere.
+    #[test]
+    fn a_destination_inside_link_dest_is_not_stored() {
+        let mut image = SimFs::new();
+        image.write("/system/a.so", Content::new(mib(1), 1));
+        image.write("/system/b.so", Content::new(mib(1), 1));
+        let home_tree = Arc::new(image.tree_at("/system"));
+        let guest_tree = Arc::new(SimFs::new().tree_at("/system"));
+        let opts = SyncOptions {
+            link_dest: Some("/system".into()),
+            ..SyncOptions::default()
+        };
+        let cost = CostModel::reference();
+        let mut home = SimFs::new();
+        home.mount("/system", home_tree);
+        for dst_root in ["/system/lib", "/data/mirror"] {
+            let mut guest = SimFs::new();
+            guest.mount("/system", Arc::clone(&guest_tree));
+            let mut flat_guest: SimFs = listing(&guest).into_iter().collect();
+            let flat_home: SimFs = listing(&home).into_iter().collect();
+            let want = sync(
+                &flat_home,
+                "/system",
+                &mut flat_guest,
+                dst_root,
+                &opts,
+                &cost,
+            );
+            let got = sync(&home, "/system", &mut guest, dst_root, &opts, &cost);
+            assert_eq!(got, want, "{dst_root}");
+            assert_eq!(listing(&guest), listing(&flat_guest), "{dst_root}");
+        }
     }
 }
