@@ -28,7 +28,6 @@
 
 use crate::errors::FluxError;
 use crate::pairing::pair;
-use crate::probe::ExecProbe;
 use crate::world::{DeviceId, FluxWorld, ReplayPolicy};
 use flux_device::DeviceProfile;
 use flux_net::NetworkEnv;
@@ -161,7 +160,6 @@ impl WorldBuilder {
             policy: self.policy,
             recording: self.recording,
             fault_plan: self.fault_plan,
-            probe: ExecProbe::disabled(),
             devices: Vec::new(),
         };
         let mut ids = Vec::with_capacity(self.devices.len());
@@ -240,7 +238,6 @@ mod tests {
             policy: ReplayPolicy::default(),
             recording: true,
             fault_plan: FaultPlan::none(),
-            probe: ExecProbe::disabled(),
             devices: Vec::new(),
         };
         let phone = legacy.add_device("phone", DeviceProfile::nexus4()).unwrap();

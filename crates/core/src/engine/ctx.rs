@@ -19,6 +19,7 @@ use flux_workloads::AppSpec;
 
 use super::failure::StageFailure;
 use super::interrupt::InterruptSource;
+use super::slices::SliceLog;
 use super::transfer::InflightTransfer;
 
 /// Immutable facts about the migration, gathered once up front.
@@ -137,6 +138,8 @@ pub(crate) struct Progress {
     pub(crate) attempts: u32,
     pub(crate) faults: u32,
     pub(crate) backoff: SimDuration,
+    /// The run's slice schedule so far, across every attempt.
+    pub(crate) log: SliceLog,
 }
 
 impl Progress {

@@ -2,19 +2,23 @@
 //! telemetry span emission, ledger accounting and rollback unwinding.
 //!
 //! The one public migration entry point, [`migrate`], takes a
-//! [`MigrationSpec`] and funnels — like the fleet executor — into
-//! [`run`], which executes [`ATTEMPT_STAGES`] in order through one
-//! uniform stage wrapper. A retryable fault re-enters the loop with
-//! exponential backoff, resuming from the first incomplete stage; a fatal
-//! failure (or an exhausted retry budget) unwinds the stages in reverse
-//! and verifies the rollback invariants. The driver is the only place
-//! spans are opened and closed for stages, busy time is accumulated, and
-//! rollback ordering is decided.
+//! [`MigrationSpec`] and funnels — like the fleet executor — into the
+//! crate-internal `run`, which executes [`ATTEMPT_STAGES`] in order
+//! through one uniform stage wrapper. A retryable fault re-enters the
+//! loop with exponential backoff, resuming from the first incomplete
+//! stage; a fatal failure (or an exhausted retry budget) unwinds the
+//! stages in reverse and verifies the rollback invariants. The driver is
+//! the only place spans are opened and closed for stages, busy time is
+//! accumulated, and rollback ordering is decided. It also brackets every
+//! stage, the backoff and the rollback in the run's `SliceLog`, which
+//! the executor hands to the fleet scheduler as the migration's slice
+//! schedule.
 
 use super::ctx::{MigCtx, Progress};
 use super::failure::StageFailure;
 use super::finalise::Finalise;
 use super::interrupt::InterruptSource;
+use super::slices::{Slice, SliceLog};
 use super::{preflight, Stage, StageCtx, StageOutcome, Yield, ATTEMPT_STAGES};
 use crate::errors::FluxError;
 use crate::migration::{MigrationConfig, MigrationReport, MigrationSpec, StageInterrupt};
@@ -38,7 +42,7 @@ use flux_telemetry::LaneId;
 /// # Errors
 ///
 /// [`FluxError::Config`] when the spec has no route; otherwise whatever
-/// [`run`] refuses or fails with.
+/// the engine refuses or fails with.
 pub fn migrate(world: &mut FluxWorld, spec: MigrationSpec) -> Result<MigrationReport, FluxError> {
     let (home, guest) = spec.route.ok_or_else(|| {
         FluxError::Config(
@@ -49,7 +53,7 @@ pub fn migrate(world: &mut FluxWorld, spec: MigrationSpec) -> Result<MigrationRe
         let shifted = plan.shifted_by(world.clock.now().since(SimTime::ZERO));
         std::mem::replace(&mut world.fault_plan, shifted)
     });
-    let result = run_with_interrupts(
+    let (result, _) = run(
         world,
         home,
         guest,
@@ -65,28 +69,39 @@ pub fn migrate(world: &mut FluxWorld, spec: MigrationSpec) -> Result<MigrationRe
 
 /// The engine entry point: admits the migration, then drives the stage
 /// pipeline under `cfg` until it completes, exhausts its retry budget, or
-/// hits a fatal failure and rolls back.
-pub fn run(
-    world: &mut FluxWorld,
-    home: DeviceId,
-    guest: DeviceId,
-    package: &str,
-    cfg: &MigrationConfig,
-) -> Result<MigrationReport, FluxError> {
-    run_with_interrupts(world, home, guest, package, cfg, &[])
-}
-
-/// [`run`] with a mid-stage lifecycle interrupt schedule: each
-/// [`StageInterrupt`] is armed when its anchor stage first enters and
-/// delivered at the next slice boundary the clock crosses. With an empty
-/// schedule this is byte-identical to [`run`].
-pub fn run_with_interrupts(
+/// hits a fatal failure and rolls back. Each [`StageInterrupt`] is armed
+/// when its anchor stage first enters and delivered at the next slice
+/// boundary the clock crosses.
+///
+/// Returns the outcome with the run's [`Slice`] schedule, which tiles the
+/// clock's progress over the call (empty for a pre-flight refusal, which
+/// charges nothing).
+pub(crate) fn run(
     world: &mut FluxWorld,
     home: DeviceId,
     guest: DeviceId,
     package: &str,
     cfg: &MigrationConfig,
     interrupts: &[StageInterrupt],
+) -> (Result<MigrationReport, FluxError>, Vec<Slice>) {
+    let mut prog = Progress {
+        log: SliceLog::new(world.clock.now()),
+        ..Progress::default()
+    };
+    let result = drive(world, home, guest, package, cfg, interrupts, &mut prog);
+    (result, prog.log.finish(world.clock.now()))
+}
+
+/// [`run`]'s body, recording into `prog` so the slice log outlives every
+/// exit path.
+fn drive(
+    world: &mut FluxWorld,
+    home: DeviceId,
+    guest: DeviceId,
+    package: &str,
+    cfg: &MigrationConfig,
+    interrupts: &[StageInterrupt],
+    prog: &mut Progress,
 ) -> Result<MigrationReport, FluxError> {
     world.telemetry.counter_add("flux.engine.runs", 1);
     let policy = &cfg.retry;
@@ -97,7 +112,6 @@ pub fn run_with_interrupts(
     // swapping plans cannot perturb an in-flight migration.
     let plan = world.fault_plan.clone();
     let mut ints = InterruptSource::new(interrupts);
-    let mut prog = Progress::default();
 
     let mig_span = world
         .telemetry
@@ -120,10 +134,10 @@ pub fn run_with_interrupts(
 
     loop {
         prog.attempts += 1;
-        match run_attempt(world, &mig, &plan, &mut prog, &mut ints) {
+        match run_attempt(world, &mig, &plan, prog, &mut ints) {
             Ok(()) => {
-                settle(world, &prog);
-                Finalise.run(&mut StageCtx::new(world, &mig, &plan, &mut prog, &mut ints))?;
+                settle(world, prog);
+                Finalise.run(&mut StageCtx::new(world, &mig, &plan, prog, &mut ints))?;
                 return Ok(build_report(&mig, prog, ints.take_delivered()));
             }
             Err(StageFailure::FaultAborted { stage, detail, .. }) => {
@@ -137,11 +151,11 @@ pub fn run_with_interrupts(
                 );
                 if prog.attempts >= policy.max_attempts {
                     let attempts = prog.attempts;
-                    if let Err(re) = unwind(world, &mig, &plan, &mut prog, &mut ints) {
-                        settle(world, &prog);
+                    if let Err(re) = unwind(world, &mig, &plan, prog, &mut ints) {
+                        settle(world, prog);
                         return Err(re);
                     }
-                    settle(world, &prog);
+                    settle(world, prog);
                     return Err(StageFailure::FaultAborted {
                         stage,
                         attempts,
@@ -155,10 +169,9 @@ pub fn run_with_interrupts(
                     world
                         .telemetry
                         .enter(LaneId::WORLD, "migration.backoff", backoff_from);
+                prog.log.enter("backoff", backoff_from);
                 world.clock.charge(backoff);
-                world
-                    .probe
-                    .record_stage("backoff", backoff_from, world.clock.now());
+                prog.log.exit(world.clock.now());
                 world.telemetry.exit(backoff_span, world.clock.now());
                 prog.backoff += backoff;
                 world.telemetry.counter_add("flux.migration.retries", 1);
@@ -174,11 +187,11 @@ pub fn run_with_interrupts(
                 );
             }
             Err(fatal) => {
-                if let Err(re) = unwind(world, &mig, &plan, &mut prog, &mut ints) {
-                    settle(world, &prog);
+                if let Err(re) = unwind(world, &mig, &plan, prog, &mut ints) {
+                    settle(world, prog);
                     return Err(re);
                 }
-                settle(world, &prog);
+                settle(world, prog);
                 return Err(fatal.into());
             }
         }
@@ -222,15 +235,14 @@ fn run_stage(
         cx.interrupts.arm(anchor, now);
     }
     let t0 = cx.world.clock.now();
+    cx.prog.log.enter(stage.name(), t0);
     let lane = stage.lane(&cx);
     let span = cx.world.telemetry.enter(lane, &stage.span_name(), t0);
     let result = run_slices(stage, &mut cx);
     // Whatever the outcome, the stage owned the clock over [t0, now]; the
-    // probe (a no-op outside executor shards) learns the bracket so the
-    // fleet scheduler can replay the pipeline stage by stage.
-    cx.world
-        .probe
-        .record_stage(stage.name(), t0, cx.world.clock.now());
+    // slice log closes the bracket so the fleet scheduler can replay the
+    // pipeline stage by stage.
+    cx.prog.log.exit(cx.world.clock.now());
     match &result {
         Ok(outcome) => {
             let now = cx.world.clock.now();
@@ -263,10 +275,9 @@ fn run_stage(
 }
 
 /// Drives one stage slice by slice: due interrupts are delivered at every
-/// boundary (entry and completion included), [`Yield::Progress`] loops,
-/// and [`Yield::Blocked`] advances the clock to the next armed interrupt.
-/// With nothing armed this collapses to exactly one `run_slice` chain
-/// with free boundary checks — the undisturbed path.
+/// boundary (entry and completion included) and [`Yield::Progress`]
+/// loops. With nothing armed this collapses to exactly one `run_slice`
+/// chain with free boundary checks — the undisturbed path.
 fn run_slices(stage: &dyn Stage, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
     loop {
         deliver_due(stage, cx)?;
@@ -276,15 +287,6 @@ fn run_slices(stage: &dyn Stage, cx: &mut StageCtx<'_>) -> Result<StageOutcome, 
                 deliver_due(stage, cx)?;
                 return Ok(outcome);
             }
-            Yield::Blocked => match cx.interrupts.next_due() {
-                Some(at) => cx.world.clock.advance_to(at),
-                None => {
-                    return Err(StageFailure::Internal(format!(
-                        "stage {} blocked with no armed interrupt to unblock it",
-                        stage.name()
-                    )))
-                }
-            },
         }
     }
 }
@@ -356,6 +358,7 @@ fn unwind(
 ) -> Result<(), FluxError> {
     let package = mig.package.as_str();
     let now = world.clock.now();
+    prog.log.enter("rollback", now);
     // Stage spans abandoned by the failing attempt must not swallow the
     // rollback work into their duration.
     world.telemetry.finish_lane(mig.home_lane, now);
@@ -435,7 +438,7 @@ fn unwind(
         format!("{package}: home-side invariants verified"),
     );
     let done = world.clock.now();
-    world.probe.record_stage("rollback", now, done);
+    prog.log.exit(done);
     world.telemetry.exit(span, done);
     Ok(())
 }
@@ -443,7 +446,7 @@ fn unwind(
 /// Assembles the success report from the settled progress record.
 fn build_report(
     mig: &MigCtx,
-    mut prog: Progress,
+    prog: &mut Progress,
     interrupts: Vec<crate::migration::InterruptRecord>,
 ) -> MigrationReport {
     MigrationReport {

@@ -50,11 +50,6 @@ impl Stage for FreezeRecord {
             match self.run_slice(cx)? {
                 Yield::Progress(_) => continue,
                 Yield::Done(outcome) => return Ok(outcome),
-                Yield::Blocked => {
-                    return Err(StageFailure::Internal(
-                        "preparation stage cannot block".into(),
-                    ))
-                }
             }
         }
     }

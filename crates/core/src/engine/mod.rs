@@ -4,12 +4,12 @@
 //! preflight, record-log freeze, (pre-copy), CRIA dump, transfer, undump,
 //! adaptive-replay warm-up, finalise, with rollback on any failure. This
 //! module makes those phases first-class values: each is a [`Stage`]
-//! implementation in its own module, and [`driver::run`] is the single
+//! implementation in its own module, and the [`driver`] is the single
 //! control loop that owns retry/backoff, telemetry span emission, ledger
-//! accounting and rollback unwinding. Both entry points — [`migrate`]
-//! with its `MigrationSpec`, and the fleet executor — execute through
-//! that one driver; serial, pipelined and fleet execution differ only in
-//! configuration, not in duplicated control flow.
+//! accounting, rollback unwinding and the run's [`Slice`] schedule. The
+//! public entry point [`migrate`] and the fleet executor both execute
+//! through that one driver; serial, pipelined and fleet execution differ
+//! only in configuration, not in duplicated control flow.
 //!
 //! Module names follow the paper's phase vocabulary; [`Stage::name`]
 //! returns the report/telemetry vocabulary the repo's figures were
@@ -33,7 +33,7 @@ pub mod transfer;
 pub mod undump;
 
 pub use ctx::StageCtx;
-pub use driver::{migrate, run, run_with_interrupts};
+pub use driver::migrate;
 pub use failure::StageFailure;
 pub use replay_warmup::broadcast_connectivity;
 pub use slices::{ArmAction, Slice, SliceCursor, SliceKind};
@@ -65,11 +65,6 @@ pub enum Yield {
     Progress(SimDuration),
     /// The stage finished this attempt with the given outcome.
     Done(StageOutcome),
-    /// The stage cannot proceed until an armed interrupt is delivered. No
-    /// current stage blocks; the driver advances the clock to the next
-    /// armed interrupt, or fails the attempt if none is armed (a blocked
-    /// stage with nothing to unblock it would spin forever).
-    Blocked,
 }
 
 /// One phase of the migration pipeline.
@@ -149,9 +144,8 @@ pub trait Stage {
     }
 }
 
-/// The stages one attempt executes, in pipeline order. The driver runs
-/// these forward in [`driver::run`] and unwinds them in reverse on
-/// rollback.
+/// The stages one attempt executes, in pipeline order. The [`driver`]
+/// runs these forward and unwinds them in reverse on rollback.
 pub const ATTEMPT_STAGES: [&(dyn Stage + Sync); 6] = [
     &precopy::Precopy,
     &freeze_record::FreezeRecord,

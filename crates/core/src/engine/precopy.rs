@@ -103,9 +103,9 @@ impl Stage for Precopy {
                 cx.plan,
             );
             cx.world.clock.charge(radio.duration);
-            cx.world
-                .probe
-                .record_radio(now, radio.duration, radio.bytes_delivered);
+            cx.prog
+                .log
+                .radio(now, radio.duration, radio.bytes_delivered);
             if !radio.complete() {
                 cx.prog.faults += 1;
                 cx.world.telemetry.emit_kind(

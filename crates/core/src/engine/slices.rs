@@ -1,15 +1,13 @@
 //! The engine's slice vocabulary: the stage-level [`Slice`] schedule an
-//! executed migration is cut into, the `build_schedule` cutter that
-//! turns [`ExecProbe`](crate::probe::ExecProbe) windows into it, and the
+//! executed migration is cut into, the `SliceLog` the driver and the
+//! radio-keying stages record it into as the clock moves, and the
 //! [`SliceCursor`] the fleet scheduler walks to re-time those slices on
 //! its timeline.
 //!
-//! This used to be split across `executor.rs` (the cutter) and `fleet.rs`
-//! (a hand-rolled cursor inside `step_flight`); it now lives with the
-//! engine, the one owner of slice semantics — the same boundaries the
+//! The slice boundaries are the driver's stage brackets and the radio
+//! windows the pre-copy and transfer stages key, the same boundaries the
 //! driver yields at for mid-stage interrupt delivery.
 
-use crate::probe::{RadioWindow, StageWindow};
 use flux_simcore::{ByteSize, SimDuration, SimTime};
 
 /// What one schedulable stretch of an executed migration occupies.
@@ -42,91 +40,95 @@ pub struct Slice {
     pub dur: SimDuration,
 }
 
-/// Cuts `[start, start + wall]` into [`Slice`]s at every stage and radio
-/// window boundary: stretches inside a radio window become `Transfer`
-/// slices carrying that window's payload, everything else is `Cpu`, and
-/// each slice is labeled with the stage that owned the clock there.
+/// The slice schedule of one engine run, recorded as its clock moves.
 ///
-/// The builder checks — rather than trusts — the probe invariants: radio
-/// windows must be chronological, non-overlapping and inside the wall.
-/// Every violation is counted and the offending window clamped, so the
-/// returned schedule always tiles the wall exactly; callers surface the
-/// count (`flux.fleet.accounting_violations`) instead of masking it.
-pub(crate) fn build_schedule(
-    stages: &[StageWindow],
-    radios: &[RadioWindow],
-    start: SimTime,
-    wall: SimDuration,
-) -> (Vec<Slice>, u32) {
-    let end = start + wall;
-    let mut violations = 0u32;
-    let label_at = |t: SimTime| -> &'static str {
-        stages
-            .iter()
-            .find(|w| w.from <= t && t < w.to)
-            .map(|w| w.stage)
-            .unwrap_or("")
-    };
-    // Emits the CPU stretch `[from, to)`, split at stage boundaries so a
-    // slice never spans two stages (the scheduler brackets the transfer
-    // stage by its labeled slices).
-    let emit_cpu = |slices: &mut Vec<Slice>, from: SimTime, to: SimTime| {
-        let mut at = from;
-        while at < to {
-            let mut next = to;
-            for w in stages {
-                for b in [w.from, w.to] {
-                    if b > at && b < next {
-                        next = b;
-                    }
-                }
-            }
-            slices.push(Slice {
-                stage: label_at(at),
-                kind: SliceKind::Cpu,
-                dur: next.since(at),
-            });
-            at = next;
+/// The driver brackets every stage, the backoff and the rollback with
+/// [`enter`](Self::enter) and [`exit`](Self::exit); the pre-copy and
+/// transfer stages report each radio window with [`radio`](Self::radio).
+/// Every record closes the stretch since the previous one, so the
+/// schedule tiles `[start, end]` by construction: time inside a radio
+/// window becomes a `Transfer` slice carrying its payload, and the rest
+/// becomes `Cpu` slices labelled with the stage that owned the clock
+/// (`""` between stages).
+#[derive(Debug, Default)]
+pub(crate) struct SliceLog {
+    slices: Vec<Slice>,
+    /// Where the last slice ended.
+    at: SimTime,
+    /// The stage owning the clock since `at`; `""` between stages.
+    stage: &'static str,
+}
+
+impl SliceLog {
+    /// An empty log whose first slice starts at `start`.
+    pub(crate) fn new(start: SimTime) -> Self {
+        Self {
+            slices: Vec::new(),
+            at: start,
+            stage: "",
         }
-    };
-    let mut slices = Vec::new();
-    let mut cursor = start;
-    for r in radios {
-        let (mut from, mut to) = (r.from, r.from + r.duration);
-        if from < cursor || to > end {
-            violations += 1;
-            from = from.max(cursor).min(end);
-            to = to.max(from).min(end);
+    }
+
+    /// `stage` takes the clock at `at`.
+    pub(crate) fn enter(&mut self, stage: &'static str, at: SimTime) {
+        self.cpu_until(at, stage);
+        self.stage = stage;
+    }
+
+    /// The current stage releases the clock at `at`.
+    pub(crate) fn exit(&mut self, at: SimTime) {
+        self.cpu_until(at, self.stage);
+        self.stage = "";
+    }
+
+    /// The radio was keyed at `from` for `dur` and delivered `bytes`.
+    ///
+    /// A window that delivered nothing (a handshake drop) held the
+    /// devices but never got a payload onto the air, so it is a `Cpu`
+    /// slice rather than a zero-byte medium flow. A zero-length window
+    /// records nothing and leaves the stretch around it whole.
+    pub(crate) fn radio(&mut self, from: SimTime, dur: SimDuration, bytes: ByteSize) {
+        if dur == SimDuration::ZERO {
+            return;
         }
-        if to <= from {
-            continue; // clamped away entirely
-        }
-        emit_cpu(&mut slices, cursor, from);
-        // A window that delivered nothing (handshake drop) held the
-        // devices but never got a payload onto the air: schedule it as
-        // CPU time rather than admitting a zero-byte flow.
-        let kind = if r.bytes.as_u64() > 0 {
-            SliceKind::Transfer { bytes: r.bytes }
+        self.cpu_until(from, self.stage);
+        let kind = if bytes.as_u64() > 0 {
+            SliceKind::Transfer { bytes }
         } else {
             SliceKind::Cpu
         };
-        slices.push(Slice {
-            stage: label_at(from),
+        self.slices.push(Slice {
+            stage: self.stage,
             kind,
-            dur: to.since(from),
+            dur,
         });
-        cursor = to;
+        self.at = from + dur;
     }
-    emit_cpu(&mut slices, cursor, end);
-    debug_assert_eq!(
-        slices
-            .iter()
-            .map(|s| s.dur)
-            .fold(SimDuration::ZERO, |a, d| a + d),
-        wall,
-        "slice schedule must tile the wall exactly"
-    );
-    (slices, violations)
+
+    /// Closes the log at `end` and returns its schedule.
+    pub(crate) fn finish(mut self, end: SimTime) -> Vec<Slice> {
+        self.cpu_until(end, self.stage);
+        self.slices
+    }
+
+    /// Closes the CPU stretch `[self.at, to)` under the current stage.
+    /// A record behind the log means the engine's clock ran backwards or
+    /// a radio window escaped its stage: a bug, never a schedule to clamp.
+    fn cpu_until(&mut self, to: SimTime, stage: &str) {
+        assert!(
+            to >= self.at,
+            "slice log: `{stage}` recorded at {to:?}, behind the log at {:?}",
+            self.at
+        );
+        if to > self.at {
+            self.slices.push(Slice {
+                stage: self.stage,
+                kind: SliceKind::Cpu,
+                dur: to.since(self.at),
+            });
+            self.at = to;
+        }
+    }
 }
 
 /// What the fleet scheduler should do for the cursor's current position.
@@ -240,32 +242,13 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    fn stage_w(stage: &'static str, from: u64, to: u64) -> StageWindow {
-        StageWindow {
-            stage,
-            from: t(from),
-            to: t(to),
-        }
+    fn secs(s: u64) -> SimDuration {
+        SimDuration::from_secs(s)
     }
 
-    fn radio_w(from: u64, dur: u64, mib: u64) -> RadioWindow {
-        RadioWindow {
-            from: t(from),
-            duration: SimDuration::from_secs(dur),
-            bytes: ByteSize::from_mib(mib),
-        }
-    }
-
-    #[test]
-    fn schedule_tiles_the_wall_and_labels_stages() {
-        // precopy [0,4) with a radio round [1,3); transfer [5,9) with its
-        // verify head [5,6) and radio [6,9); a bare gap [4,5).
-        let stages = vec![stage_w("precopy", 0, 4), stage_w("transfer", 5, 9)];
-        let radios = vec![radio_w(1, 2, 8), radio_w(6, 3, 64)];
-        let (slices, violations) =
-            build_schedule(&stages, &radios, t(0), SimDuration::from_secs(9));
-        assert_eq!(violations, 0);
-        let shape: Vec<(&str, bool, u64)> = slices
+    /// `(stage, is_transfer, whole seconds)` per slice.
+    fn shape(slices: &[Slice]) -> Vec<(&'static str, bool, u64)> {
+        slices
             .iter()
             .map(|s| {
                 (
@@ -274,9 +257,26 @@ mod tests {
                     s.dur.as_nanos() / 1_000_000_000,
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn schedule_tiles_the_wall_and_labels_stages() {
+        // precopy [0,4) with a radio round [1,3); transfer [5,9) with its
+        // verify head [5,6) and radio [6,9); a bare gap [4,5).
+        let mut log = SliceLog::new(t(0));
+        log.enter("precopy", t(0));
+        log.radio(t(1), secs(2), ByteSize::from_mib(8));
+        log.exit(t(4));
+        // A stage that charged nothing leaves no slice.
+        log.enter("checkpoint", t(4));
+        log.exit(t(4));
+        log.enter("transfer", t(5));
+        log.radio(t(6), secs(3), ByteSize::from_mib(64));
+        log.exit(t(9));
+        let slices = log.finish(t(9));
         assert_eq!(
-            shape,
+            shape(&slices),
             vec![
                 ("precopy", false, 1),
                 ("precopy", true, 2),
@@ -290,57 +290,59 @@ mod tests {
             .iter()
             .map(|s| s.dur)
             .fold(SimDuration::ZERO, |a, d| a + d);
-        assert_eq!(total, SimDuration::from_secs(9));
+        assert_eq!(total, secs(9));
     }
 
     #[test]
     fn zero_byte_radio_windows_become_cpu_slices() {
         // A handshake drop held the devices but shipped nothing: it must
         // not become a zero-byte medium flow.
-        let stages = vec![stage_w("transfer", 0, 3)];
-        let radios = vec![radio_w(1, 1, 0)];
-        let (slices, violations) =
-            build_schedule(&stages, &radios, t(0), SimDuration::from_secs(3));
-        assert_eq!(violations, 0);
-        assert!(slices.iter().all(|s| matches!(s.kind, SliceKind::Cpu)));
+        let mut log = SliceLog::new(t(0));
+        log.enter("transfer", t(0));
+        log.radio(t(1), secs(1), ByteSize::ZERO);
+        log.exit(t(3));
+        let slices = log.finish(t(3));
+        assert_eq!(
+            shape(&slices),
+            vec![
+                ("transfer", false, 1),
+                ("transfer", false, 1),
+                ("transfer", false, 1),
+            ]
+        );
     }
 
     #[test]
-    fn escaping_radio_windows_are_counted_not_masked() {
-        // Regression for the silent `pre = wall.saturating_sub(transfer +
-        // post)` clamp: a probe window past the measured wall used to
-        // vanish into a zero pre-phase. Now it is clamped *and counted*.
-        let stages = vec![stage_w("transfer", 0, 4)];
-        let radios = vec![radio_w(2, 10, 64)]; // escapes a 4 s wall
-        let (slices, violations) =
-            build_schedule(&stages, &radios, t(0), SimDuration::from_secs(4));
-        assert_eq!(violations, 1);
-        let total = slices
-            .iter()
-            .map(|s| s.dur)
-            .fold(SimDuration::ZERO, |a, d| a + d);
-        assert_eq!(total, SimDuration::from_secs(4), "still tiles the wall");
-        // Overlapping windows are the other corruption shape.
-        let radios = vec![radio_w(0, 3, 8), radio_w(2, 1, 8)];
-        let (_, violations) = build_schedule(&stages, &radios, t(0), SimDuration::from_secs(4));
-        assert_eq!(violations, 1);
+    fn zero_length_radio_windows_leave_the_cpu_stretch_whole() {
+        let mut log = SliceLog::new(t(0));
+        log.enter("transfer", t(0));
+        log.radio(t(1), SimDuration::ZERO, ByteSize::from_mib(8));
+        log.exit(t(3));
+        assert_eq!(shape(&log.finish(t(3))), vec![("transfer", false, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the log")]
+    fn a_record_behind_the_log_panics() {
+        // A radio window running past its stage's exit would have the
+        // next record land inside it: an engine bug, never clamped.
+        let mut log = SliceLog::new(t(0));
+        log.enter("transfer", t(0));
+        log.radio(t(2), secs(10), ByteSize::from_mib(64));
+        log.exit(t(4));
     }
 
     #[test]
     fn empty_probe_yields_one_cpu_slice_or_nothing() {
-        let (slices, v) = build_schedule(&[], &[], t(0), SimDuration::from_secs(2));
-        assert_eq!(v, 0);
         assert_eq!(
-            slices,
+            SliceLog::new(t(0)).finish(t(2)),
             vec![Slice {
                 stage: "",
                 kind: SliceKind::Cpu,
-                dur: SimDuration::from_secs(2)
+                dur: secs(2)
             }]
         );
-        let (slices, v) = build_schedule(&[], &[], t(0), SimDuration::ZERO);
-        assert_eq!(v, 0);
-        assert!(slices.is_empty());
+        assert!(SliceLog::new(t(0)).finish(t(0)).is_empty());
     }
 
     #[test]

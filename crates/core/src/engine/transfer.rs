@@ -39,7 +39,7 @@ pub(crate) struct InflightTransfer {
     pub(crate) cursor: SimTime,
     /// First chunk not yet drained (index into `radio.chunks`).
     pub(crate) next_chunk: usize,
-    /// Bytes already handed to the probe in earlier slices.
+    /// Bytes already handed to the slice log in earlier slices.
     pub(crate) bytes_recorded: ByteSize,
 }
 
@@ -73,9 +73,6 @@ impl Stage for Transfer {
             match self.run_slice(cx)? {
                 Yield::Progress(_) => continue,
                 Yield::Done(outcome) => return Ok(outcome),
-                Yield::Blocked => {
-                    return Err(StageFailure::Internal("transfer stage cannot block".into()))
-                }
             }
         }
     }
@@ -117,9 +114,9 @@ impl Stage for Transfer {
             );
             fused.run_radio(radio.duration);
             cx.world.clock.advance_to(fused.end());
-            cx.world
-                .probe
-                .record_radio(radio_start, radio.duration, radio.bytes_delivered);
+            cx.prog
+                .log
+                .radio(radio_start, radio.duration, radio.bytes_delivered);
             if compress > SimDuration::ZERO {
                 // The deferred compression stays in the checkpoint stage's
                 // busy accounting, where the serial engine charges it.
@@ -199,8 +196,8 @@ fn drain_window(cx: &mut StageCtx<'_>, mut infl: InflightTransfer) -> Result<Yie
         }
         infl.next_chunk += 1;
     }
-    // The last slice absorbs any byte rounding so the probe windows sum
-    // exactly to the priced window's delivered bytes.
+    // The last slice absorbs any byte rounding so the logged radio windows
+    // sum exactly to the priced window's delivered bytes.
     let seg_bytes = if target == infl.end {
         ByteSize::from_bytes(infl.radio.bytes_delivered.as_u64() - infl.bytes_recorded.as_u64())
     } else {
@@ -211,9 +208,9 @@ fn drain_window(cx: &mut StageCtx<'_>, mut infl: InflightTransfer) -> Result<Yie
                 .sum(),
         )
     };
-    cx.world
-        .probe
-        .record_radio(infl.cursor, target.since(infl.cursor), seg_bytes);
+    cx.prog
+        .log
+        .radio(infl.cursor, target.since(infl.cursor), seg_bytes);
     cx.prog.delivered_chunks = if target == infl.end {
         infl.radio.delivered_chunks
     } else {

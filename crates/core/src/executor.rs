@@ -7,14 +7,14 @@
 //! every admitted request and measures its shape — not three coarse
 //! phases, but the full stage-level [`Slice`] schedule: every pre-copy
 //! round, freeze-phase residue ship and record-log transfer is its own
-//! slice, cut from the [`ExecProbe`] windows the
-//! engine recorded while running. *Scheduling* places those slices on the
-//! fleet timeline under admission control and medium contention, admitting
-//! each transfer-bearing slice onto the radio individually. The
-//! [`FleetScheduler`](crate::FleetScheduler) owns scheduling; it delegates
-//! execution to an [`Executor`], which runs every request **up front**, in
-//! the canonical order (priority descending, request id ascending), each
-//! inside a private *world shard*.
+//! slice, recorded by the engine as its clock moves. *Scheduling* places
+//! those slices on the fleet timeline under admission control and medium
+//! contention, admitting each transfer-bearing slice onto the radio
+//! individually. The [`FleetScheduler`](crate::FleetScheduler) owns
+//! scheduling; it delegates execution to an [`Executor`], which runs
+//! every request **up front**, in the canonical order (priority
+//! descending, request id ascending), each inside a private *world
+//! shard*.
 //!
 //! # World shards
 //!
@@ -56,7 +56,6 @@
 use crate::engine::{self, StageFailure};
 use crate::errors::FluxError;
 use crate::fleet::{FleetOutcome, MigrationRequest};
-use crate::probe::{ExecProbe, RadioWindow, StageWindow};
 use crate::record::RecordStore;
 use crate::world::{Device, DeviceId, FluxWorld};
 use flux_aidl::CompiledInterface;
@@ -68,7 +67,6 @@ use flux_telemetry::{LaneId, Telemetry};
 use std::collections::BTreeMap;
 use std::fmt;
 
-pub(crate) use crate::engine::slices::build_schedule;
 pub use crate::engine::slices::{Slice, SliceKind};
 
 /// The stream label the executor forks the per-batch RNG root from, off
@@ -88,10 +86,6 @@ pub struct ExecutedMigration {
     /// The measured wall-clock (virtual) span; always the exact sum of
     /// `schedule` durations.
     pub(crate) wall: SimDuration,
-    /// Accounting-invariant violations the slice builder detected (probe
-    /// windows escaping the measured wall, or overlapping). Zero on every
-    /// healthy run; surfaced as `flux.fleet.accounting_violations`.
-    pub(crate) violations: u32,
     /// The shard's telemetry record, timed from batch open; the scheduler
     /// absorbs it into the world hub shifted to the admission instant.
     pub(crate) telemetry: Telemetry,
@@ -268,7 +262,6 @@ struct ExecParts {
     outcome: FleetOutcome,
     schedule: Vec<Slice>,
     wall: SimDuration,
-    violations: u32,
 }
 
 /// The shared execute pipeline: canonical order, conflict groups, shard
@@ -338,7 +331,6 @@ fn execute_batch(
                 outcome: parts.outcome,
                 schedule: parts.schedule,
                 wall: parts.wall,
-                violations: parts.violations,
                 telemetry,
             });
         }
@@ -393,9 +385,6 @@ fn detach(
         policy: world.policy,
         recording: world.recording,
         fault_plan: plan,
-        // The probe is what turns the run into a stage-level schedule:
-        // the engine records its windows here as it executes.
-        probe: ExecProbe::enabled(),
         devices: vec![home_dev, guest_dev],
     };
     ShardSlot {
@@ -431,11 +420,11 @@ fn reattach(world: &mut FluxWorld, slot: ShardSlot) -> Telemetry {
     shard.telemetry
 }
 
-/// Runs the engine inside a shard (home = 0, guest = 1) and cuts the
-/// measured span into the stage-level slice schedule. The shard clock
-/// opened at `start`, so the wall time is the clock's progress past it.
+/// Runs the engine inside a shard (home = 0, guest = 1) and takes the
+/// slice schedule it recorded. The shard clock opened at `start`, so the
+/// wall time is the clock's progress past it.
 fn run_in_shard(shard: &mut FluxWorld, req: &MigrationRequest, start: SimTime) -> ExecParts {
-    let result = engine::run_with_interrupts(
+    let (result, schedule) = engine::driver::run(
         shard,
         DeviceId(0),
         DeviceId(1),
@@ -445,8 +434,7 @@ fn run_in_shard(shard: &mut FluxWorld, req: &MigrationRequest, start: SimTime) -
     );
     let now = shard.clock.now();
     shard.telemetry.finish(now);
-    let (stages, radios) = shard.probe.take();
-    assemble(result, &stages, &radios, start, now.since(start))
+    assemble(result, schedule, now.since(start))
 }
 
 /// Executes a request that cannot be sharded (unknown device, home ==
@@ -454,8 +442,7 @@ fn run_in_shard(shard: &mut FluxWorld, req: &MigrationRequest, start: SimTime) -
 /// pre-flight, before consuming virtual time or randomness.
 fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigration {
     let t0 = world.clock.now();
-    let ambient = std::mem::replace(&mut world.probe, ExecProbe::enabled());
-    let result = engine::run_with_interrupts(
+    let (result, schedule) = engine::driver::run(
         world,
         req.home,
         req.guest,
@@ -463,20 +450,17 @@ fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigr
         &req.cfg,
         &req.interrupts,
     );
-    let (stages, radios) = world.probe.take();
-    world.probe = ambient;
-    let parts = assemble(result, &stages, &radios, t0, world.clock.now().since(t0));
+    let parts = assemble(result, schedule, world.clock.now().since(t0));
     ExecutedMigration {
         outcome: parts.outcome,
         schedule: parts.schedule,
         wall: parts.wall,
-        violations: parts.violations,
         telemetry: Telemetry::disabled(),
     }
 }
 
-/// Classifies one engine result and cuts the probe windows into the slice
-/// schedule covering its measured wall time.
+/// Classifies one engine result and pairs it with the slice schedule the
+/// run recorded over its measured wall time.
 ///
 /// A rolled-back request holds its devices for its whole measured span
 /// (attempts, backoff, rollback), and any air time its partial transfers
@@ -484,19 +468,9 @@ fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigr
 /// pre-flight and free (empty schedule).
 fn assemble(
     result: Result<crate::MigrationReport, FluxError>,
-    stages: &[StageWindow],
-    radios: &[RadioWindow],
-    start: SimTime,
+    schedule: Vec<Slice>,
     wall: SimDuration,
 ) -> ExecParts {
-    let (schedule, violations) = build_schedule(stages, radios, start, wall);
-    // The schedule must tile the wall exactly; a violation means the
-    // engine's probe windows escaped the measured span — accounting
-    // corruption that used to be clamped silently.
-    debug_assert_eq!(
-        violations, 0,
-        "probe windows violated the wall-coverage invariant"
-    );
     let outcome = match result {
         Ok(report) => FleetOutcome::Completed(report),
         Err(error) => {
@@ -519,7 +493,6 @@ fn assemble(
         outcome,
         schedule,
         wall,
-        violations,
     }
 }
 

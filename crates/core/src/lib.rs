@@ -55,16 +55,13 @@ pub mod image_cache;
 pub mod migration;
 pub mod oracle;
 pub mod pairing;
-pub mod probe;
 pub mod record;
 pub mod replay;
 pub mod world;
 
 pub use builder::WorldBuilder;
 pub use cria::{FluxImage, ReinitSpec, IMAGE_COMPRESS_RATIO, LOG_COMPRESS_RATIO};
-pub use engine::{
-    broadcast_connectivity, migrate, run_with_interrupts, ArmAction, SliceCursor, StageFailure,
-};
+pub use engine::{broadcast_connectivity, migrate, ArmAction, SliceCursor, StageFailure};
 pub use errors::FluxError;
 pub use executor::{
     ExecutedMigration, Executor, ParallelExecutor, SerialExecutor, Slice, SliceKind,
@@ -88,7 +85,6 @@ pub use oracle::{
     OracleVerdict, ScenarioOutcome, Taxonomy,
 };
 pub use pairing::{pair, verify_app, PairingReport};
-pub use probe::{ExecProbe, RadioWindow, StageWindow};
 pub use record::{CallLog, CallRecord, RecordOutcome, RecordStore};
 pub use replay::{replay_log, ReplayStats};
 pub use world::{Device, DeviceId, FluxWorld, Pairing, ReplayPolicy, WorldError};

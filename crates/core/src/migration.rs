@@ -33,7 +33,7 @@ use flux_appfw::LifecycleEvent;
 use flux_simcore::{ByteSize, FaultPlan, SimDuration, SimTime};
 use std::fmt;
 
-pub use crate::engine::{broadcast_connectivity, migrate, run};
+pub use crate::engine::{broadcast_connectivity, migrate};
 
 /// A kernel stall at least this long trips the checkpoint/restore watchdog
 /// and aborts the stage (shorter stalls only add latency).

@@ -8,7 +8,6 @@
 //! [`FluxWorld::perform`].
 
 use crate::errors::FluxError;
-use crate::probe::ExecProbe;
 use crate::record::RecordStore;
 use flux_appfw::{launch, ActivityState, App, AppFootprint, LifecycleEvent};
 use flux_binder::{BinderError, Parcel};
@@ -173,10 +172,6 @@ pub struct FluxWorld {
     /// default: fault injection is strictly opt-in and an empty plan is
     /// byte-identical to a world that predates it.
     pub fault_plan: FaultPlan,
-    /// The execution probe the engine records stage/radio windows into.
-    /// Disabled (a no-op) by default; executor shards enable it to cut
-    /// each migration into fleet-schedulable slices. See [`crate::probe`].
-    pub probe: ExecProbe,
     /// Devices in the world.
     pub devices: Vec<Device>,
 }

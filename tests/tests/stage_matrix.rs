@@ -9,8 +9,9 @@
 //! cases: blanketing their windows must not perturb the migration at
 //! all. A final set of tests pins the engine's telemetry contract: every
 //! `migration.stage.*` span corresponds to a declared stage, and every
-//! public entry point routes through [`flux_core::engine::run`]
-//! (observable as the `flux.engine.runs` counter).
+//! public entry point routes through the one engine driver
+//! ([`flux_core::engine::driver`], observable as the `flux.engine.runs`
+//! counter).
 
 mod common;
 
@@ -276,7 +277,7 @@ fn emitted_stage_spans_match_the_declared_stages() {
 }
 
 /// Every public entry point — `migrate` under any `MigrationSpec` and
-/// the fleet scheduler — executes through `engine::run`, observable as
+/// the fleet scheduler — executes through the engine driver, observable as
 /// one `flux.engine.runs` tick per migration.
 #[test]
 fn every_entry_point_runs_through_the_engine() {
