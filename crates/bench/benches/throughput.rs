@@ -5,7 +5,9 @@
 //! time for `FleetScheduler::run` (world construction is excluded). The
 //! two runs must produce byte-identical `FleetReport`s — the executors
 //! differ only in wall-clock — and the bench fails loudly if they
-//! diverge. Results land in `BENCH_throughput.json` at the repo root.
+//! diverge. Each report's `Debug` output is compared by an FNV-1a digest
+//! taken as the text streams, so no run keeps a copy of its report as a
+//! string. Results land in `BENCH_throughput.json` at the repo root.
 //!
 //! Usage (plain harness, not criterion):
 //!
@@ -26,6 +28,7 @@ use flux_core::{
 };
 use flux_device::DeviceProfile;
 use flux_workloads::spec;
+use std::fmt::{self, Write as _};
 use std::time::Instant;
 
 /// Migratable Table 3 apps, cycled across the fleet's device pairs.
@@ -67,9 +70,32 @@ fn fleet(n: usize, seed: u64) -> (FluxWorld, Vec<MigrationRequest>) {
     (world, requests)
 }
 
+/// FNV-1a over every byte written to it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The digest of `value`'s `Debug` output, hashed as it is formatted.
+    fn of_debug(value: &impl fmt::Debug) -> u64 {
+        let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
+        write!(hasher, "{value:?}").expect("hashing never fails");
+        hasher.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
 struct Run {
     report: FleetReport,
-    debug: String,
+    /// [`Fnv1a::of_debug`] of `report`.
+    digest: u64,
     secs: f64,
 }
 
@@ -89,7 +115,7 @@ fn run(n: usize, seed: u64, workers: Option<usize>) -> Run {
         "fleet of {n}: every migration should complete"
     );
     Run {
-        debug: format!("{report:?}"),
+        digest: Fnv1a::of_debug(&report),
         report,
         secs,
     }
@@ -125,7 +151,7 @@ impl serde::Serialize for SizeResult {
 fn best_of_2(n: usize, seed: u64, workers: Option<usize>) -> Run {
     let a = run(n, seed, workers);
     let b = run(n, seed, workers);
-    assert_eq!(a.debug, b.debug, "fleet of {n}: repeated run diverged");
+    assert_eq!(a.digest, b.digest, "fleet of {n}: repeated run diverged");
     if b.secs < a.secs {
         b
     } else {
@@ -138,7 +164,7 @@ fn measure(n: usize, workers: usize) -> SizeResult {
     let serial = best_of_2(n, seed, None);
     let parallel = best_of_2(n, seed, Some(workers));
     let identical =
-        serial.debug == parallel.debug && serial.report.makespan == parallel.report.makespan;
+        serial.digest == parallel.digest && serial.report.makespan == parallel.report.makespan;
     SizeResult {
         fleet_size: n,
         serial_secs: serial.secs,

@@ -40,6 +40,7 @@
 //!
 //! `--smoke` is the CI size: the 10k-request row only.
 
+use flux_bench::mean_u64;
 use flux_core::{
     pair, FleetConfig, FleetReport, FleetScheduler, MigrationRequest, ParallelExecutor,
     WorldBuilder,
@@ -178,9 +179,7 @@ impl Dist {
             samples[idx]
         };
         Dist {
-            mean: SimDuration::from_nanos(
-                samples.iter().map(|d| d.as_nanos()).sum::<u64>() / samples.len() as u64,
-            ),
+            mean: SimDuration::from_nanos(mean_u64(samples.iter().map(|d| d.as_nanos()))),
             p50: pick(0.50),
             p90: pick(0.90),
             p99: pick(0.99),
@@ -409,4 +408,26 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn queue_wait_mean_does_not_wrap_at_100k_requests() {
+        // The limit-1 100k row's shape: 100,000 waits spread evenly over
+        // 0..~580,000 s. Their sum, ~2.9e19 ns, is past 2^64 ns.
+        let step = 5_800_000_000u64;
+        let waits: Vec<SimDuration> = (0..100_000u64)
+            .map(|i| SimDuration::from_nanos(i * step))
+            .collect();
+        assert!(waits
+            .iter()
+            .try_fold(0u64, |sum, d| sum.checked_add(d.as_nanos()))
+            .is_none());
+        let dist = Dist::of(waits);
+        assert_eq!(dist.mean.as_nanos(), 99_999 * step / 2);
+        assert_eq!(dist.p50.as_nanos(), 50_000 * step);
+    }
 }

@@ -24,6 +24,7 @@
 //! ablation_pipeline [--smoke] [--out DIR]
 //! ```
 
+use flux_bench::mean_u64;
 use flux_core::{migrate, pair, MigrationConfig, MigrationReport, MigrationSpec, WorldBuilder};
 use flux_device::DeviceProfile;
 use flux_simcore::{ByteSize, SimDuration};
@@ -130,11 +131,11 @@ fn run_one(seed: u64, cfg: &MigrationConfig, warm: bool) -> Result<MigrationRepo
 }
 
 fn mean_duration(xs: &[SimDuration]) -> SimDuration {
-    SimDuration::from_nanos(xs.iter().map(|d| d.as_nanos()).sum::<u64>() / xs.len() as u64)
+    SimDuration::from_nanos(mean_u64(xs.iter().map(|d| d.as_nanos())))
 }
 
 fn mean_bytes(xs: &[ByteSize]) -> ByteSize {
-    ByteSize::from_bytes(xs.iter().map(|b| b.as_u64()).sum::<u64>() / xs.len() as u64)
+    ByteSize::from_bytes(mean_u64(xs.iter().map(|b| b.as_u64())))
 }
 
 /// Runs the full grid and renders the table; returns the rendered report

@@ -27,3 +27,41 @@ pub mod table;
 pub use evaluation::{run_full_evaluation, Evaluation, MigRow, PAIR_LABELS};
 pub use quadrant::{run_quadrant_suite, QuadrantScores};
 pub use table::Table;
+
+/// The mean of `values`, rounded down. The sum is taken in `u128`, so
+/// values whose sum passes `u64::MAX` (100k queue waits of days each, in
+/// nanoseconds) average exactly instead of wrapping.
+///
+/// # Panics
+///
+/// Panics when `values` is empty.
+pub fn mean_u64(values: impl IntoIterator<Item = u64>) -> u64 {
+    let (sum, n) = values
+        .into_iter()
+        .fold((0u128, 0u128), |(sum, n), v| (sum + u128::from(v), n + 1));
+    assert!(n > 0, "mean of no values");
+    u64::try_from(sum / n).expect("a mean of u64 values fits in a u64")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mean_u64;
+
+    #[test]
+    fn mean_sums_past_u64_max_without_wrapping() {
+        let values = [u64::MAX - 1, u64::MAX - 3, u64::MAX - 5];
+        assert!(values
+            .iter()
+            .try_fold(0u64, |a, &v| a.checked_add(v))
+            .is_none());
+        assert_eq!(mean_u64(values), u64::MAX - 3);
+        assert_eq!(mean_u64([7, 8]), 7);
+        assert_eq!(mean_u64([u64::MAX]), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean of no values")]
+    fn mean_of_nothing_panics() {
+        mean_u64([]);
+    }
+}

@@ -95,7 +95,7 @@ impl Stage for CriaDump {
         // whether or not a stall aborted the stage afterwards.
         cx.record_criu_parts(
             cx.mig.home_lane,
-            "criu.dump",
+            "criu.dump.",
             charge_start,
             dump_cost,
             &image.process.component_weights(),

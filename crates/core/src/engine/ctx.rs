@@ -14,13 +14,28 @@ use flux_device::DeviceProfile;
 use flux_kernel::ProcessImage;
 use flux_net::DEFAULT_CHUNK;
 use flux_simcore::{ByteSize, CostModel, FaultPlan, SimDuration, SimTime, TraceKind};
-use flux_telemetry::LaneId;
+use flux_telemetry::{static_name, LaneId};
 use flux_workloads::AppSpec;
 
 use super::failure::StageFailure;
 use super::interrupt::InterruptSource;
 use super::slices::SliceLog;
 use super::transfer::InflightTransfer;
+
+/// Every per-driver CRIU sub-span the dump and undump stages record: one
+/// per part [`ProcessImage::component_weights`] names, under each
+/// walker's prefix. [`StageCtx::record_criu_parts`] records these
+/// borrowed, so a migration's sub-spans allocate nothing.
+const CRIU_PART_SPANS: [&str; 8] = [
+    "criu.dump.mem",
+    "criu.dump.fds",
+    "criu.dump.binder",
+    "criu.dump.threads",
+    "criu.undump.mem",
+    "criu.undump.fds",
+    "criu.undump.binder",
+    "criu.undump.threads",
+];
 
 /// Immutable facts about the migration, gathered once up front.
 pub(crate) struct MigCtx {
@@ -231,9 +246,10 @@ impl<'a> StageCtx<'a> {
     }
 
     /// Splits a lump-charged CRIU window `[start, start + total]` into
-    /// per-driver sub-spans (`<prefix>.mem`, `<prefix>.fds`, ...)
-    /// proportional to `weights`. Integer arithmetic; the last part
-    /// absorbs the rounding remainder so the parts sum exactly to `total`.
+    /// per-driver sub-spans (`<prefix>mem`, `<prefix>fds`, ..., with
+    /// `prefix` ending in a dot) proportional to `weights`. Integer
+    /// arithmetic; the last part absorbs the rounding remainder so the
+    /// parts sum exactly to `total`.
     pub(crate) fn record_criu_parts(
         &mut self,
         lane: LaneId,
@@ -257,9 +273,12 @@ impl<'a> StageCtx<'a> {
             };
             spent += part_ns;
             let end = cursor + SimDuration::from_nanos(part_ns);
-            self.world
-                .telemetry
-                .record_complete(lane, &format!("{prefix}.{name}"), cursor, end);
+            self.world.telemetry.record_complete(
+                lane,
+                static_name(&CRIU_PART_SPANS, prefix, name),
+                cursor,
+                end,
+            );
             cursor = end;
         }
     }
@@ -349,5 +368,26 @@ impl<'a> StageCtx<'a> {
             self.prog.delivered_chunks = 0;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::borrow::Cow;
+
+    #[test]
+    fn criu_part_spans_are_borrowed_for_every_component() {
+        let mut kernel = flux_kernel::Kernel::new("3.4");
+        let pid = kernel.spawn(flux_simcore::Uid(10_001), "com.example");
+        kernel.freeze(pid).unwrap();
+        let image = flux_kernel::criu::checkpoint(&kernel, pid, SimTime::ZERO).unwrap();
+        for prefix in ["criu.dump.", "criu.undump."] {
+            for (part, _) in image.component_weights() {
+                let span = static_name(&CRIU_PART_SPANS, prefix, part);
+                assert!(matches!(span, Cow::Borrowed(_)), "{prefix}{part}");
+                assert_eq!(span, format!("{prefix}{part}"));
+            }
+        }
     }
 }

@@ -237,7 +237,7 @@ fn run_stage(
     let t0 = cx.world.clock.now();
     cx.prog.log.enter(stage.name(), t0);
     let lane = stage.lane(&cx);
-    let span = cx.world.telemetry.enter(lane, &stage.span_name(), t0);
+    let span = cx.world.telemetry.enter(lane, stage.span_name(), t0);
     let result = run_slices(stage, &mut cx);
     // Whatever the outcome, the stage owned the clock over [t0, now]; the
     // slice log closes the bracket so the fleet scheduler can replay the

@@ -48,7 +48,7 @@ impl Stage for Finalise {
         // apart.
         for stage in MigrationStage::ALL {
             cx.world.telemetry.observe(
-                &stage_metric_name(stage.name()),
+                stage_metric_name(stage.name()),
                 stages.of(stage).as_millis(),
             );
         }
@@ -57,7 +57,7 @@ impl Stage for Finalise {
         if stages.precopy > SimDuration::ZERO {
             cx.world
                 .telemetry
-                .observe(&stage_metric_name("precopy"), stages.precopy.as_millis());
+                .observe(stage_metric_name("precopy"), stages.precopy.as_millis());
         }
         if stages.overlap_saved > SimDuration::ZERO {
             cx.world.telemetry.observe(

@@ -41,6 +41,7 @@ pub use slices::{ArmAction, Slice, SliceCursor, SliceKind};
 use crate::migration::{MigrationStage, StageTimes};
 use flux_simcore::SimDuration;
 use flux_telemetry::LaneId;
+use std::borrow::Cow;
 
 /// What a completed [`Stage::run`] reports back to the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +87,7 @@ pub trait Stage {
     /// The span this stage records under. Defaults to
     /// `migration.stage.<name>`; pre-copy overrides it (its span predates
     /// the stage naming scheme and is pinned by recorded traces).
-    fn span_name(&self) -> String {
+    fn span_name(&self) -> Cow<'static, str> {
         flux_telemetry::stage_span_name(self.name())
     }
 

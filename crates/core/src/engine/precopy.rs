@@ -21,6 +21,7 @@ use flux_kernel::criu;
 use flux_net::DEFAULT_CHUNK;
 use flux_simcore::{SimDuration, TraceKind};
 use flux_telemetry::LaneId;
+use std::borrow::Cow;
 
 /// The pre-copy stage (iterative pre-dump streaming, home device).
 pub struct Precopy;
@@ -31,8 +32,8 @@ impl Stage for Precopy {
     }
 
     /// Pinned to the pre-naming-scheme span recorded traces carry.
-    fn span_name(&self) -> String {
-        "migration.precopy".into()
+    fn span_name(&self) -> Cow<'static, str> {
+        Cow::Borrowed("migration.precopy")
     }
 
     fn lane(&self, cx: &StageCtx<'_>) -> LaneId {
@@ -143,7 +144,7 @@ impl Stage for Precopy {
             let round_end = cx.world.clock.now();
             cx.world.telemetry.record_complete(
                 cx.mig.home_lane,
-                &format!("migration.precopy.round{round}"),
+                format!("migration.precopy.round{round}"),
                 round_start,
                 round_end,
             );

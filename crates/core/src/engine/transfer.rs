@@ -23,7 +23,7 @@ use crate::migration::{MigrationStage, StageTimes};
 use crate::pairing::verify_app;
 use flux_net::{ChunkedOutcome, ChunkedTransfer, DEFAULT_CHUNK};
 use flux_simcore::{ByteSize, FusedLanes, SimDuration, SimTime, TraceKind};
-use flux_telemetry::LaneId;
+use flux_telemetry::{Detail, LaneId};
 
 /// A serial radio window priced by [`flux_net`] and not yet fully
 /// drained onto the virtual clock. Lives in
@@ -242,12 +242,11 @@ fn emit_chunk_instants(cx: &mut StageCtx<'_>, chunks: &[flux_net::ChunkEvent]) {
             TraceKind::Generic,
             "net.chunk",
             chunk.at,
-            format!(
-                "{} in {}{}",
-                chunk.bytes,
-                chunk.duration,
-                if chunk.congested { " (congested)" } else { "" }
-            ),
+            Detail::Chunk {
+                bytes: chunk.bytes,
+                duration: chunk.duration,
+                congested: chunk.congested,
+            },
         );
     }
 }

@@ -144,7 +144,7 @@ impl Stage for Undump {
         );
         cx.record_criu_parts(
             cx.mig.guest_lane,
-            "criu.undump",
+            "criu.undump.",
             charge_start + decompress_cost,
             undump_cost,
             &image.process.component_weights(),

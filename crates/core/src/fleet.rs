@@ -622,6 +622,10 @@ impl FleetScheduler {
         // O(parked + admitted) instead of O(whole queue).
         let mut parked: Vec<usize> = Vec::new();
         let mut next_fresh = 0usize;
+        // A pass runs at batch open and then only at instants where a
+        // flight left its devices: a request is held back by a full air
+        // or a busy device, and only a release frees either.
+        let mut released = true;
 
         loop {
             // Admission pass: scan parked, then fresh, in canonical order,
@@ -646,18 +650,21 @@ impl FleetScheduler {
                 busy_source.insert(req.home.0);
                 busy_target.insert(req.guest.0);
                 let exec = execs[idx].take().expect("each request admits once");
+                let home_cell_capacity =
+                    topology.cells()[medium.cell_of(req.home.0 as u64)].capacity_mbps;
+                *serialized += isolated_span(&exec, home_cell_capacity);
+                let ExecutedMigration {
+                    outcome,
+                    schedule,
+                    telemetry,
+                    ..
+                } = exec;
                 // Land the shard's telemetry where the fleet schedule
                 // actually placed the request: shard times run from the
                 // batch open, so shifting by the queue wait pins the
                 // spans to the admission instant, in admission order.
-                world.telemetry.absorb(&exec.telemetry, now.since(start));
-                let home_cell_capacity =
-                    topology.cells()[medium.cell_of(req.home.0 as u64)].capacity_mbps;
-                *serialized += isolated_span(&exec, home_cell_capacity);
+                world.telemetry.absorb(telemetry, now.since(start));
                 world.telemetry.counter_add("flux.fleet.admitted", 1);
-                let ExecutedMigration {
-                    outcome, schedule, ..
-                } = exec;
                 let mut flight = Active {
                     idx,
                     admitted_at: now,
@@ -668,48 +675,46 @@ impl FleetScheduler {
                 active.insert(req.id, flight);
                 true
             };
-            let mut still_parked = Vec::with_capacity(parked.len());
-            for idx in std::mem::take(&mut parked) {
-                if !admit(
-                    idx,
-                    world,
-                    &mut active,
-                    &mut medium,
-                    &mut timeline,
-                    &mut busy_source,
-                    &mut busy_target,
-                    &mut serialized,
-                ) {
-                    still_parked.push(idx);
+            if std::mem::take(&mut released) {
+                parked.retain(|&idx| {
+                    !admit(
+                        idx,
+                        world,
+                        &mut active,
+                        &mut medium,
+                        &mut timeline,
+                        &mut busy_source,
+                        &mut busy_target,
+                        &mut serialized,
+                    )
+                });
+                while active.len() < self.cfg.max_in_flight && next_fresh < queue.len() {
+                    let idx = queue[next_fresh];
+                    next_fresh += 1;
+                    if !admit(
+                        idx,
+                        world,
+                        &mut active,
+                        &mut medium,
+                        &mut timeline,
+                        &mut busy_source,
+                        &mut busy_target,
+                        &mut serialized,
+                    ) {
+                        parked.push(idx);
+                    }
                 }
+                peak = peak.max(active.len());
+                let queued = parked.len() + (queue.len() - next_fresh);
+                world
+                    .telemetry
+                    .gauge_set("flux.fleet.queue_depth", queued as f64);
             }
-            parked = still_parked;
-            while active.len() < self.cfg.max_in_flight && next_fresh < queue.len() {
-                let idx = queue[next_fresh];
-                next_fresh += 1;
-                if !admit(
-                    idx,
-                    world,
-                    &mut active,
-                    &mut medium,
-                    &mut timeline,
-                    &mut busy_source,
-                    &mut busy_target,
-                    &mut serialized,
-                ) {
-                    parked.push(idx);
-                }
-            }
-            peak = peak.max(active.len());
-            let queued = parked.len() + (queue.len() - next_fresh);
-            world
-                .telemetry
-                .gauge_set("flux.fleet.queue_depth", queued as f64);
 
             if active.is_empty() {
                 // Nothing in flight and (with max_in_flight >= 1 and all
                 // devices free) nothing admissible: the queue is drained.
-                debug_assert_eq!(queued, 0);
+                debug_assert!(parked.is_empty() && next_fresh == queue.len());
                 break;
             }
 
@@ -727,7 +732,7 @@ impl FleetScheduler {
             // ascending key order — so request events precede same-instant
             // roams.
             for id in medium.take_completed() {
-                step_flight(
+                released |= step_flight(
                     id,
                     now,
                     start,
@@ -743,19 +748,21 @@ impl FleetScheduler {
             }
             while let Some((_, key, event)) = timeline.pop_due(now) {
                 match event {
-                    FleetEvent::SliceDone => step_flight(
-                        key,
-                        now,
-                        start,
-                        world,
-                        &requests,
-                        &mut active,
-                        &mut medium,
-                        &mut timeline,
-                        &mut busy_source,
-                        &mut busy_target,
-                        &mut flights,
-                    ),
+                    FleetEvent::SliceDone => {
+                        released |= step_flight(
+                            key,
+                            now,
+                            start,
+                            world,
+                            &requests,
+                            &mut active,
+                            &mut medium,
+                            &mut timeline,
+                            &mut busy_source,
+                            &mut busy_target,
+                            &mut flights,
+                        )
+                    }
                     FleetEvent::Roam { device, cell } => medium.roam(device, &cell),
                 }
             }
@@ -782,14 +789,16 @@ impl FleetScheduler {
             .iter()
             .filter(|f| matches!(f.outcome, FleetOutcome::Refused { .. }))
             .count();
+        let cells = medium.into_cell_traces();
         Ok(FleetReport {
             flights,
             started_at: start,
             makespan,
             serialized_makespan: serialized,
             peak_in_flight: peak,
-            medium: medium.segments().to_vec(),
-            cells: medium.cell_traces(),
+            // The segments share their flow lists with `cells[0]`.
+            medium: cells[0].segments.clone(),
+            cells,
             completed,
             rolled_back,
             refused,
@@ -825,7 +834,8 @@ fn arm(
 
 /// Advances one flight past its just-completed slice: marks the transfer
 /// bracket, arms the next slice, or — when the schedule has drained —
-/// releases the devices and records the flight.
+/// releases the devices and records the flight. Returns whether the
+/// flight released its devices.
 #[allow(clippy::too_many_arguments)]
 fn step_flight(
     id: u64,
@@ -839,7 +849,7 @@ fn step_flight(
     busy_source: &mut BTreeSet<usize>,
     busy_target: &mut BTreeSet<usize>,
     flights: &mut BTreeMap<u64, FlightRecord>,
-) {
+) -> bool {
     let flight = active.get_mut(&id).expect("completed slice has a flight");
     if flight.cursor.step(now) {
         // The cursor advanced; arm the next slice (or, if it drained the
@@ -847,7 +857,7 @@ fn step_flight(
         // active until it fires).
         let req = &requests[flight.idx];
         arm(flight, req, now, medium, timeline);
-        return;
+        return false;
     }
     let flight = active.remove(&id).expect("finished flight is active");
     let req = &requests[flight.idx];
@@ -855,6 +865,7 @@ fn step_flight(
     busy_target.remove(&req.guest.0);
     let record = finish_flight(world, req, flight, submitted_at, now);
     flights.insert(id, record);
+    true
 }
 
 /// Runs `requests` under [`FleetConfig::default`].

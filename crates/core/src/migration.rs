@@ -546,6 +546,7 @@ impl<'de> serde::Deserialize<'de> for MigrationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     #[test]
     fn stage_names_match_the_declared_engine_stages() {
@@ -565,6 +566,25 @@ mod tests {
             flux_telemetry::REPORT_STAGES.to_vec(),
             MigrationStage::ALL.map(|s| s.name()).to_vec()
         );
+    }
+
+    #[test]
+    fn engine_stage_spans_and_metrics_have_static_names() {
+        // Every migration attempt opens these spans and every success
+        // observes these metrics, so their names come from const tables
+        // rather than a fresh String.
+        for stage in crate::engine::ATTEMPT_STAGES {
+            let span = stage.span_name();
+            assert!(matches!(span, Cow::Borrowed(_)), "{span}");
+        }
+        for stage in MigrationStage::ALL
+            .map(|s| s.name())
+            .into_iter()
+            .chain(["precopy"])
+        {
+            let metric = flux_telemetry::stage_metric_name(stage);
+            assert!(matches!(metric, Cow::Borrowed(_)), "{metric}");
+        }
     }
 
     #[test]

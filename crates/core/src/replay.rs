@@ -79,7 +79,7 @@ pub fn replay_log(
     for entry in log.entries() {
         let span = world.telemetry.enter(
             guest_lane,
-            &format!("replay.svc.{}", entry.service),
+            format!("replay.svc.{}", entry.service),
             world.clock.now(),
         );
         let proxy = world

@@ -64,6 +64,7 @@
 use crate::wifi::Band;
 use flux_simcore::{ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One constant-rate stretch of a cell's life: which flows were active
 /// over `[from, to)` and the goodput share (Mbit/s) each was allocated.
@@ -74,7 +75,9 @@ pub struct MediumSegment {
     /// End of the stretch.
     pub to: SimTime,
     /// `(flow id, allocated goodput in Mbit/s)`, ascending by id.
-    pub flows: Vec<(u64, f64)>,
+    /// Consecutive segments of a cell whose flow set did not change share
+    /// one list.
+    pub flows: Arc<[(u64, f64)]>,
 }
 
 impl serde::Serialize for MediumSegment {
@@ -82,7 +85,7 @@ impl serde::Serialize for MediumSegment {
         let mut obj = serde::object(out);
         obj.field("from", &self.from)
             .field("to", &self.to)
-            .field("flows", &self.flows);
+            .field("flows", &*self.flows);
         obj.end();
     }
 }
@@ -92,7 +95,7 @@ impl<'de> serde::Deserialize<'de> for MediumSegment {
         Ok(Self {
             from: v.read("from")?,
             to: v.read("to")?,
-            flows: v.read("flows")?,
+            flows: v.read::<Vec<(u64, f64)>>("flows")?.into(),
         })
     }
 }
@@ -334,7 +337,28 @@ struct Flow {
 struct Cell {
     spec: CellSpec,
     flows: BTreeMap<u64, Flow>,
+    /// The share list of the current flow set, built at the first segment
+    /// after the set last changed. Shares depend only on the set (equal
+    /// split capped at each flow's nominal rate), so every segment until
+    /// the next admit, completion or roam records this same list.
+    shares: Option<Arc<[(u64, f64)]>>,
     segments: Vec<MediumSegment>,
+}
+
+impl Cell {
+    /// The share list for the current flow set, built once per set.
+    fn shares(&mut self) -> Arc<[(u64, f64)]> {
+        if let Some(shares) = &self.shares {
+            return Arc::clone(shares);
+        }
+        let shares: Arc<[(u64, f64)]> = self
+            .flows
+            .iter()
+            .map(|(&id, flow)| (id, RadioMedium::share_mbps(self, flow)))
+            .collect();
+        self.shares = Some(Arc::clone(&shares));
+        shares
+    }
 }
 
 /// A deterministic processor-sharing radio medium over a cell topology.
@@ -377,6 +401,7 @@ impl RadioMedium {
                 .map(|spec| Cell {
                     spec: spec.clone(),
                     flows: BTreeMap::new(),
+                    shares: None,
                     segments: Vec::new(),
                 })
                 .collect(),
@@ -445,7 +470,8 @@ impl RadioMedium {
             "flow {id} admitted twice"
         );
         let nominal_mbps = bytes.as_u64() as f64 * 8.0 / serial_air.as_secs_f64() / 1e6;
-        self.cells[cell].flows.insert(
+        let cell = &mut self.cells[cell];
+        cell.flows.insert(
             id,
             Flow {
                 remaining: serial_air,
@@ -454,6 +480,7 @@ impl RadioMedium {
                 device,
             },
         );
+        cell.shares = None;
     }
 
     /// Re-associates `device` with the named cell and moves its in-flight
@@ -476,17 +503,24 @@ impl RadioMedium {
             if idx == target {
                 continue;
             }
-            let ids: Vec<u64> = c
-                .flows
-                .iter()
-                .filter(|(_, f)| f.device == device)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in ids {
-                moved.push((id, c.flows.remove(&id).expect("flow present")));
+            let before = moved.len();
+            c.flows.retain(|&id, f| {
+                if f.device == device {
+                    moved.push((id, f.clone()));
+                    false
+                } else {
+                    true
+                }
+            });
+            if moved.len() > before {
+                c.shares = None;
             }
         }
-        self.cells[target].flows.extend(moved);
+        if !moved.is_empty() {
+            let cell = &mut self.cells[target];
+            cell.flows.extend(moved);
+            cell.shares = None;
+        }
     }
 
     /// The share (Mbit/s) a flow is allocated right now: an equal split of
@@ -529,13 +563,13 @@ impl RadioMedium {
                 if cell.flows.is_empty() {
                     continue;
                 }
-                let shares: Vec<(u64, f64)> = cell
-                    .flows
+                let shares = cell.shares();
+                // `shares` lists the flows in the map's (ascending id) order.
+                debug_assert!(shares
                     .iter()
-                    .map(|(&id, flow)| (id, Self::share_mbps(cell, flow)))
-                    .collect();
-                for &(id, share) in &shares {
-                    let flow = cell.flows.get_mut(&id).expect("flow present");
+                    .map(|&(id, _)| id)
+                    .eq(cell.flows.keys().copied()));
+                for (flow, &(_, share)) in cell.flows.values_mut().zip(shares.iter()) {
                     let m = multiplier_fix(share, flow.nominal_mbps);
                     let served = serve(dt, m, &mut flow.credit);
                     flow.remaining = flow.remaining.saturating_sub(served);
@@ -555,15 +589,16 @@ impl RadioMedium {
     pub fn take_completed(&mut self) -> Vec<u64> {
         let mut done: Vec<u64> = Vec::new();
         for cell in &mut self.cells {
-            let ids: Vec<u64> = cell
-                .flows
-                .iter()
-                .filter(|(_, f)| f.remaining == SimDuration::ZERO)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in ids {
-                cell.flows.remove(&id);
-                done.push(id);
+            let before = done.len();
+            cell.flows.retain(|&id, f| {
+                let drained = f.remaining == SimDuration::ZERO;
+                if drained {
+                    done.push(id);
+                }
+                !drained
+            });
+            if done.len() > before {
+                cell.shares = None;
             }
         }
         done.sort_unstable();
@@ -576,15 +611,16 @@ impl RadioMedium {
         &self.cells[0].segments
     }
 
-    /// The complete per-cell traces, in cell order.
-    pub fn cell_traces(&self) -> Vec<CellTrace> {
+    /// Closes the medium and hands over its per-cell traces, in cell
+    /// order. The segments move out; nothing is copied.
+    pub fn into_cell_traces(self) -> Vec<CellTrace> {
         self.cells
-            .iter()
+            .into_iter()
             .map(|c| CellTrace {
-                name: c.spec.name.clone(),
+                name: c.spec.name,
                 capacity_mbps: c.spec.capacity_mbps,
                 band: c.spec.band,
-                segments: c.segments.clone(),
+                segments: c.segments,
             })
             .collect()
     }
@@ -638,7 +674,7 @@ mod tests {
         assert_eq!(m.take_completed(), vec![1, 2]);
         let seg = &m.segments()[0];
         assert_eq!(seg.flows.len(), 2);
-        for &(_, share) in &seg.flows {
+        for &(_, share) in seg.flows.iter() {
             assert!((share - 10.0).abs() < 1e-9, "share {share}");
         }
     }
@@ -786,10 +822,10 @@ mod tests {
         assert_eq!((done, id), (SimTime::from_secs(2), 1)); // solo, not halved
         m.advance(done);
         assert_eq!(m.take_completed(), vec![1, 2]);
-        let traces = m.cell_traces();
+        let traces = m.into_cell_traces();
         assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].segments[0].flows, vec![(1, 20.0)]);
-        assert_eq!(traces[1].segments[0].flows, vec![(2, 20.0)]);
+        assert_eq!(*traces[0].segments[0].flows, [(1, 20.0)]);
+        assert_eq!(*traces[1].segments[0].flows, [(2, 20.0)]);
     }
 
     #[test]
@@ -816,7 +852,7 @@ mod tests {
         m.advance(done);
         assert!(m.take_completed().contains(&1));
         // The roamer's segments appear in both cells' traces.
-        let traces = m.cell_traces();
+        let traces = m.into_cell_traces();
         assert!(traces[0]
             .segments
             .iter()
@@ -849,6 +885,74 @@ mod tests {
     }
 
     #[test]
+    fn unchanged_cells_share_one_flow_list_until_their_set_changes() {
+        let topo = RadioTopology::new()
+            .cell("east", 20.0, Band::Ghz5)
+            .cell("west", 30.0, Band::Ghz2_4)
+            .associate(100, "east")
+            .associate(101, "east")
+            .associate(200, "west");
+        let mut m = RadioMedium::with_topology(&topo, SimTime::ZERO);
+        let step = |m: &mut RadioMedium| m.advance(m.now() + SimDuration::from_millis(100));
+        m.admit_from(1, 100, mib(8), SimDuration::from_secs(4));
+        m.admit_from(2, 101, mib(8), SimDuration::from_secs(6));
+        m.admit_from(3, 200, mib(8), SimDuration::from_secs(5));
+        step(&mut m); // segment 0 of both cells
+        step(&mut m); // 1: nothing changed
+        m.admit_from(4, 200, mib(1), SimDuration::from_secs(1));
+        step(&mut m); // 2: admit in west
+        m.roam(101, "west");
+        step(&mut m); // 3: flow 2 left east for west
+        let (done_at, first) = m.next_completion().unwrap();
+        assert_eq!(first, 4);
+        m.advance(done_at); // 4: nothing changed
+        assert_eq!(m.take_completed(), vec![4]);
+        step(&mut m); // 5: completion in west
+        m.roam(300, "east");
+        step(&mut m); // 6: a roam that moves no flow changes no set
+
+        let traces = m.into_cell_traces();
+        let (east, west) = (&traces[0].segments, &traces[1].segments);
+        assert_eq!((east.len(), west.len()), (7, 7));
+        let shared =
+            |segs: &[MediumSegment], i: usize| Arc::ptr_eq(&segs[i - 1].flows, &segs[i].flows);
+        let east_shared: Vec<bool> = (1..7).map(|i| shared(east, i)).collect();
+        let west_shared: Vec<bool> = (1..7).map(|i| shared(west, i)).collect();
+        assert_eq!(east_shared, [true, true, false, true, true, true]);
+        assert_eq!(west_shared, [true, false, false, true, false, true]);
+        let ids = |seg: &MediumSegment| seg.flows.iter().map(|&(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(ids(&east[2]), [1, 2]);
+        assert_eq!(ids(&east[3]), [1]);
+        assert_eq!(ids(&west[1]), [3]);
+        assert_eq!(ids(&west[2]), [3, 4]);
+        assert_eq!(ids(&west[3]), [2, 3, 4]);
+        assert_eq!(ids(&west[5]), [2, 3]);
+
+        // Sharing is invisible in the output: the trace serializes exactly
+        // as one that gives every segment a list of its own.
+        let unshared: Vec<CellTrace> = traces
+            .iter()
+            .map(|t| CellTrace {
+                segments: t
+                    .segments
+                    .iter()
+                    .map(|seg| MediumSegment {
+                        flows: seg.flows.to_vec().into(),
+                        ..seg.clone()
+                    })
+                    .collect(),
+                ..t.clone()
+            })
+            .collect();
+        assert!(!Arc::ptr_eq(
+            &unshared[0].segments[0].flows,
+            &unshared[0].segments[1].flows
+        ));
+        assert_eq!(serde::to_json(&traces), serde::to_json(&unshared));
+        assert_eq!(format!("{traces:?}"), format!("{unshared:?}"));
+    }
+
+    #[test]
     fn cell_trace_round_trips_through_json() {
         let topo = RadioTopology::new()
             .cell("east", 20.0, Band::Ghz5)
@@ -857,7 +961,7 @@ mod tests {
         m.admit_from(1, 9, mib(4), SimDuration::from_secs(3));
         m.advance(SimTime::from_secs(3));
         m.take_completed();
-        let traces = m.cell_traces();
+        let traces = m.into_cell_traces();
         let json = serde::to_json(&traces);
         let parsed: Vec<CellTrace> = serde::from_json(&json).unwrap();
         assert_eq!(parsed, traces);

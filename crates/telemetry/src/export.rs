@@ -10,9 +10,10 @@
 //! gauge; [`serde::parse`] reads their output back.
 
 use crate::metrics::{Histogram, Metric, MetricsRegistry};
-use crate::{InstantEvent, Span, Telemetry};
+use crate::{Detail, InstantEvent, Span, Telemetry};
 use flux_simcore::{SimDuration, TraceKind};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Span-name prefix shared by every migration stage span. The suffix is
@@ -31,16 +32,47 @@ pub const REPORT_STAGES: [&str; 5] = [
     "reintegration",
 ];
 
+/// Prefix of the histogram metrics a stage's busy milliseconds are
+/// observed under.
+const STAGE_METRIC_PREFIX: &str = "flux.migration.stage_ms.";
+
+/// The histogram names the engine observes each migration's stage times
+/// under: the report stages plus pre-copy. [`stage_metric_name`] hands
+/// these out borrowed.
+const STAGE_METRICS: [&str; 6] = [
+    "flux.migration.stage_ms.preparation",
+    "flux.migration.stage_ms.checkpoint",
+    "flux.migration.stage_ms.transfer",
+    "flux.migration.stage_ms.restore",
+    "flux.migration.stage_ms.reintegration",
+    "flux.migration.stage_ms.precopy",
+];
+
+/// The name `prefix` + `suffix`: borrowed from `table` when listed there,
+/// composed otherwise. Callers keep the composed names they record for
+/// every migration in a const table, so recording one allocates nothing.
+pub fn static_name(table: &[&'static str], prefix: &str, suffix: &str) -> Cow<'static, str> {
+    table
+        .iter()
+        .find(|name| name.strip_prefix(prefix) == Some(suffix))
+        .map_or_else(
+            || Cow::Owned(format!("{prefix}{suffix}")),
+            |&name| Cow::Borrowed(name),
+        )
+}
+
 /// The span name a stage named `stage` records under:
-/// `migration.stage.<stage>`.
-pub fn stage_span_name(stage: &str) -> String {
-    format!("{STAGE_SPAN_PREFIX}{stage}")
+/// `migration.stage.<stage>`. Borrowed from [`STAGE_SPANS`] for the report
+/// stages, so opening a stage span allocates nothing.
+pub fn stage_span_name(stage: &str) -> Cow<'static, str> {
+    static_name(&STAGE_SPANS, STAGE_SPAN_PREFIX, stage)
 }
 
 /// The histogram metric a stage's busy milliseconds are observed under:
-/// `flux.migration.stage_ms.<stage>`.
-pub fn stage_metric_name(stage: &str) -> String {
-    format!("flux.migration.stage_ms.{stage}")
+/// `flux.migration.stage_ms.<stage>`. Borrowed for the report stages and
+/// pre-copy.
+pub fn stage_metric_name(stage: &str) -> Cow<'static, str> {
+    static_name(&STAGE_METRICS, STAGE_METRIC_PREFIX, stage)
 }
 
 /// The canonical stage-span names the migration pipeline emits, in
@@ -74,9 +106,9 @@ impl Serialize for Micros {
 }
 
 /// A one-member object, the shape of a Chrome event's `args`.
-struct Arg<'a>(&'static str, &'a str);
+struct Arg<'a, T: ?Sized>(&'static str, &'a T);
 
-impl Serialize for Arg<'_> {
+impl<T: Serialize + ?Sized> Serialize for Arg<'_, T> {
     fn serialize(&self, out: &mut String) {
         let mut obj = serde::object(out);
         obj.field(self.0, self.1);
@@ -111,7 +143,7 @@ pub fn chrome_trace(tele: &Telemetry) -> String {
     }
     for span in tele.spans() {
         let mut ev = event(&mut out);
-        ev.field("name", &span.name)
+        ev.field("name", &*span.name)
             .field("cat", "span")
             .field("ph", "X")
             .field("ts", &Micros(span.start.as_nanos()))
@@ -122,7 +154,7 @@ pub fn chrome_trace(tele: &Telemetry) -> String {
     }
     for instant in tele.instants() {
         let mut ev = event(&mut out);
-        ev.field("name", &instant.name)
+        ev.field("name", &*instant.name)
             .field("cat", kind_str(instant.kind))
             .field("ph", "i")
             .field("s", "t")
@@ -156,7 +188,7 @@ pub fn json_snapshot(tele: &Telemetry) -> String {
 impl Serialize for Span {
     fn serialize(&self, out: &mut String) {
         let mut obj = serde::object(out);
-        obj.field("name", &self.name)
+        obj.field("name", &*self.name)
             .field("lane", &self.lane.0)
             .field("parent", &self.parent.map(|p| p.0))
             .field("start_ns", &self.start)
@@ -172,9 +204,17 @@ impl Serialize for InstantEvent {
         obj.field("at_ns", &self.at)
             .field("lane", &self.lane.0)
             .field("kind", kind_str(self.kind))
-            .field("name", &self.name)
+            .field("name", &*self.name)
             .field("detail", &self.detail);
         obj.end();
+    }
+}
+
+/// The detail's text as a JSON string. A chunk's text is formatted
+/// straight into the output, here and nowhere earlier.
+impl Serialize for Detail {
+    fn serialize(&self, out: &mut String) {
+        serde::write_display(out, self);
     }
 }
 
@@ -300,7 +340,7 @@ impl MigrationProfile {
 mod tests {
     use super::*;
     use crate::LaneId;
-    use flux_simcore::SimTime;
+    use flux_simcore::{ByteSize, SimTime};
     use serde::JsonValue;
 
     fn hub() -> Telemetry {
@@ -410,6 +450,124 @@ mod tests {
                 stage_metric_name(stage),
                 format!("flux.migration.stage_ms.{stage}")
             );
+        }
+    }
+
+    #[test]
+    fn tabled_stage_names_are_borrowed_and_others_composed() {
+        for stage in REPORT_STAGES {
+            let span = stage_span_name(stage);
+            assert!(matches!(span, Cow::Borrowed(_)), "{stage}");
+            assert_eq!(span, format!("{STAGE_SPAN_PREFIX}{stage}"));
+        }
+        for stage in ["precopy"].into_iter().chain(REPORT_STAGES) {
+            let metric = stage_metric_name(stage);
+            assert!(matches!(metric, Cow::Borrowed(_)), "{stage}");
+            assert_eq!(metric, format!("flux.migration.stage_ms.{stage}"));
+        }
+        // A prefix match alone must not borrow a longer table entry.
+        for (name, composed) in [
+            (stage_span_name("trans"), "migration.stage.trans"),
+            (stage_span_name("finalise"), "migration.stage.finalise"),
+            (
+                stage_metric_name("finalise"),
+                "flux.migration.stage_ms.finalise",
+            ),
+        ] {
+            assert!(matches!(name, Cow::Owned(_)), "{composed}");
+            assert_eq!(name, composed);
+        }
+    }
+
+    /// The text the chunk emitter wrote before chunks kept their numbers.
+    fn old_chunk_text(bytes: ByteSize, duration: SimDuration, congested: bool) -> String {
+        format!(
+            "{} in {}{}",
+            bytes,
+            duration,
+            if congested { " (congested)" } else { "" }
+        )
+    }
+
+    #[test]
+    fn chunk_details_export_the_formatted_text_byte_for_byte() {
+        // Byte sizes either side of the KiB and MiB unit switches, and
+        // durations from sub-microsecond to multi-second, both congested
+        // and not: a numeric chunk exports exactly what the formatted
+        // text did, in both exporters.
+        let sizes = [
+            0,
+            1,
+            1_023,
+            1_024,
+            1_025,
+            262_144,
+            1_048_575,
+            1_048_576,
+            1_048_577,
+            5 << 20,
+        ];
+        let durations = [
+            0,
+            999,
+            1_000,
+            999_999,
+            1_000_000,
+            91_937_465,
+            999_999_999,
+            1_000_000_000,
+            12_345_678_901,
+        ];
+        let record = |numeric: bool| {
+            let mut tele = Telemetry::new();
+            let lane = tele.lane("dev");
+            let mut at = 0u64;
+            for &bytes in &sizes {
+                for &ns in &durations {
+                    for congested in [false, true] {
+                        let (bytes, duration) =
+                            (ByteSize::from_bytes(bytes), SimDuration::from_nanos(ns));
+                        let detail = if numeric {
+                            Detail::Chunk {
+                                bytes,
+                                duration,
+                                congested,
+                            }
+                        } else {
+                            Detail::Text(old_chunk_text(bytes, duration, congested))
+                        };
+                        tele.instant(
+                            lane,
+                            TraceKind::Generic,
+                            "net.chunk",
+                            SimTime::from_nanos(at),
+                            detail,
+                        );
+                        at += 1;
+                    }
+                }
+            }
+            tele
+        };
+        let (numeric, text) = (record(true), record(false));
+        assert_eq!(numeric.instants().len(), sizes.len() * durations.len() * 2);
+        for (n, t) in numeric.instants().iter().zip(text.instants()) {
+            assert_eq!(n.detail.to_string(), t.detail.to_string());
+        }
+        assert_eq!(chrome_trace(&numeric), chrome_trace(&text));
+        assert_eq!(json_snapshot(&numeric), json_snapshot(&text));
+        // Spot-check the rendered forms themselves.
+        let snap = json_snapshot(&numeric);
+        for needle in [
+            "\"detail\":\"0 B in 0us\"",
+            "\"detail\":\"1023 B in 999us (congested)\"",
+            "\"detail\":\"1023 B in 1000.0ms\"",
+            "\"detail\":\"1.0 KB in 1.00s\"",
+            "\"detail\":\"256.0 KB in 91.9ms\"",
+            "\"detail\":\"1024.0 KB in 12.35s (congested)\"",
+            "\"detail\":\"1.0 MB in 1us\"",
+        ] {
+            assert!(snap.contains(needle), "{needle}");
         }
     }
 }

@@ -6,7 +6,10 @@
 //!
 //! * [`Telemetry`] — the per-world hub: hierarchical **spans** over virtual
 //!   time (enter/exit with parent links, one lane per simulated device)
-//!   and lane-attributed **instant events**, the run's event log.
+//!   and lane-attributed **instant events**, the run's event log. Names
+//!   are `Cow<'static, str>`, so recording under a name known at compile
+//!   time allocates nothing, and an event's [`Detail`] keeps a radio
+//!   chunk's numbers until an exporter writes them.
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms
 //!   under the `flux.<crate>.<name>` naming scheme, held in a `BTreeMap`
 //!   so snapshot iteration order — and therefore exporter output — is
@@ -48,13 +51,15 @@ pub mod export;
 pub mod metrics;
 
 pub use export::{
-    chrome_trace, json_snapshot, stage_metric_name, stage_span_name, MigrationProfile,
+    chrome_trace, json_snapshot, stage_metric_name, stage_span_name, static_name, MigrationProfile,
     REPORT_STAGES, STAGE_SPAN_PREFIX,
 };
 pub use metrics::{Histogram, Metric, MetricsRegistry};
 
-use flux_simcore::{SimDuration, SimTime, TraceKind};
+use flux_simcore::{ByteSize, SimDuration, SimTime, TraceKind};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Identifies one lane (a simulated device or process) in the span tree
 /// and the Chrome trace. Lane 0 is always the world lane.
@@ -101,8 +106,9 @@ impl SpanId {
 /// One hierarchical span: a named interval of virtual time on a lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Span name, e.g. `"migration.stage.transfer"`.
-    pub name: String,
+    /// Span name, e.g. `"migration.stage.transfer"`. Names known at compile
+    /// time are borrowed, so recording one allocates nothing.
+    pub name: Cow<'static, str>,
     /// Lane (device/process) the span ran on.
     pub lane: LaneId,
     /// Enclosing span on the same lane, if any.
@@ -132,9 +138,61 @@ pub struct InstantEvent {
     /// Event class (generic/fault/retry/rollback).
     pub kind: TraceKind,
     /// Dot-separated event name, e.g. `"net.chunk"`.
-    pub name: String,
-    /// Free-form detail.
-    pub detail: String,
+    pub name: Cow<'static, str>,
+    /// What the event says; exporters write it as one string.
+    pub detail: Detail,
+}
+
+/// The detail of an [`InstantEvent`].
+///
+/// Most events carry free text. A radio chunk keeps its numbers instead,
+/// and the exporters format them only when they write the event, so a
+/// fleet run records hundreds of thousands of chunks without formatting
+/// one. [`Display`](fmt::Display) renders either form as the exported
+/// text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Detail {
+    /// Free-form text.
+    Text(String),
+    /// One radio chunk: `"<bytes> in <duration>"`, suffixed
+    /// `" (congested)"` when congestion stretched it.
+    Chunk {
+        /// Payload the chunk carried.
+        bytes: ByteSize,
+        /// Air time it took.
+        duration: SimDuration,
+        /// Whether congestion stretched it.
+        congested: bool,
+    },
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::Text(text) => f.write_str(text),
+            Detail::Chunk {
+                bytes,
+                duration,
+                congested,
+            } => write!(
+                f,
+                "{bytes} in {duration}{}",
+                if *congested { " (congested)" } else { "" }
+            ),
+        }
+    }
+}
+
+impl From<String> for Detail {
+    fn from(text: String) -> Self {
+        Detail::Text(text)
+    }
+}
+
+impl From<&str> for Detail {
+    fn from(text: &str) -> Self {
+        Detail::Text(text.to_owned())
+    }
 }
 
 /// The per-world telemetry hub. See the [crate docs](self).
@@ -228,7 +286,12 @@ impl Telemetry {
 
     /// Opens a span on `lane` at virtual time `at`. The parent is the
     /// innermost span still open on the same lane.
-    pub fn enter(&mut self, lane: LaneId, name: &str, at: SimTime) -> SpanId {
+    pub fn enter(
+        &mut self,
+        lane: LaneId,
+        name: impl Into<Cow<'static, str>>,
+        at: SimTime,
+    ) -> SpanId {
         if !self.enabled {
             return SpanId::NONE;
         }
@@ -236,7 +299,7 @@ impl Telemetry {
         let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
         let id = self.spans.len() as u32;
         self.spans.push(Span {
-            name: name.to_owned(),
+            name: name.into(),
             lane: LaneId::at(lane_ix),
             parent,
             start: at,
@@ -275,14 +338,20 @@ impl Telemetry {
     /// under the lane's innermost open span without touching the stack.
     /// Used to attribute a lump-charged cost window after the fact (e.g.
     /// splitting a CRIU checkpoint charge into per-driver sub-spans).
-    pub fn record_complete(&mut self, lane: LaneId, name: &str, start: SimTime, end: SimTime) {
+    pub fn record_complete(
+        &mut self,
+        lane: LaneId,
+        name: impl Into<Cow<'static, str>>,
+        start: SimTime,
+        end: SimTime,
+    ) {
         if !self.enabled {
             return;
         }
         let lane_ix = (lane.0 as usize).min(self.open.len() - 1);
         let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
         self.spans.push(Span {
-            name: name.to_owned(),
+            name: name.into(),
             lane: LaneId::at(lane_ix),
             parent,
             start,
@@ -321,7 +390,8 @@ impl Telemetry {
     }
 
     /// Folds another hub's record into this one, displacing every
-    /// timestamp `shift` later.
+    /// timestamp `shift` later. `other` is consumed: its names and
+    /// details move here rather than being copied.
     ///
     /// `other`'s lanes are matched **by name** (and interned here when
     /// missing — `other`'s world lane merges into this world lane); its
@@ -329,7 +399,7 @@ impl Telemetry {
     /// the span *tree* arrives intact; its instant events are re-emitted
     /// through [`Telemetry::instant`], so this hub's event capacity
     /// applies; its metrics merge by kind (counters add, gauges
-    /// last-write-wins, histograms bucket-wise). Absorbing the same hub
+    /// last-write-wins, histograms bucket-wise). Absorbing equal hubs
     /// into two hubs in the same order produces byte-identical state,
     /// which is what lets serial and parallel fleet executors share one
     /// merge path.
@@ -338,31 +408,29 @@ impl Telemetry {
     /// any open-stack, so [`Telemetry::finish`] will not close them);
     /// callers should finish the absorbed hub first. No-op when this hub
     /// is disabled.
-    pub fn absorb(&mut self, other: &Telemetry, shift: SimDuration) {
+    pub fn absorb(&mut self, other: Telemetry, shift: SimDuration) {
         if !self.enabled {
             return;
         }
         let lane_map: Vec<LaneId> = other.lanes.iter().map(|n| self.lane(n)).collect();
         let base = self.spans.len() as u32;
-        for span in &other.spans {
-            self.spans.push(Span {
-                name: span.name.clone(),
-                lane: lane_map[span.lane.0 as usize],
-                parent: span.parent.map(|p| SpanId(base + p.0)),
-                start: span.start + shift,
-                end: span.end.map(|e| e + shift),
-            });
-        }
-        for ev in &other.instants {
+        self.spans.extend(other.spans.into_iter().map(|span| Span {
+            name: span.name,
+            lane: lane_map[span.lane.0 as usize],
+            parent: span.parent.map(|p| SpanId(base + p.0)),
+            start: span.start + shift,
+            end: span.end.map(|e| e + shift),
+        }));
+        for ev in other.instants {
             self.instant(
                 lane_map[ev.lane.0 as usize],
                 ev.kind,
-                &ev.name,
+                ev.name,
                 ev.at + shift,
-                ev.detail.clone(),
+                ev.detail,
             );
         }
-        self.metrics.merge_from(&other.metrics);
+        self.metrics.merge_from(other.metrics);
     }
 
     /// All spans recorded so far, in creation order.
@@ -387,9 +455,9 @@ impl Telemetry {
         &mut self,
         lane: LaneId,
         kind: TraceKind,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         at: SimTime,
-        detail: impl Into<String>,
+        detail: impl Into<Detail>,
     ) {
         if !self.enabled {
             return;
@@ -405,13 +473,18 @@ impl Telemetry {
             at,
             lane: LaneId::at((lane.0 as usize).min(self.lanes.len() - 1)),
             kind,
-            name: name.to_owned(),
+            name: name.into(),
             detail: detail.into(),
         });
     }
 
     /// A generic instant event on the world lane.
-    pub fn emit(&mut self, at: SimTime, category: &str, detail: impl Into<String>) {
+    pub fn emit(
+        &mut self,
+        at: SimTime,
+        category: impl Into<Cow<'static, str>>,
+        detail: impl Into<Detail>,
+    ) {
         self.instant(LaneId::WORLD, TraceKind::Generic, category, at, detail);
     }
 
@@ -420,8 +493,8 @@ impl Telemetry {
         &mut self,
         at: SimTime,
         kind: TraceKind,
-        category: &str,
-        detail: impl Into<String>,
+        category: impl Into<Cow<'static, str>>,
+        detail: impl Into<Detail>,
     ) {
         self.instant(LaneId::WORLD, kind, category, at, detail);
     }
@@ -445,7 +518,7 @@ impl Telemetry {
 
     /// Adds `delta` to the counter `name`, creating it at zero on first
     /// use. No-op when disabled.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub fn counter_add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
         if self.enabled {
             self.metrics.counter_add(name, delta);
         }
@@ -453,14 +526,14 @@ impl Telemetry {
 
     /// Sets the counter `name` to an absolute value (idempotent harvest;
     /// see [`MetricsRegistry::counter_set`]). No-op when disabled.
-    pub fn counter_set(&mut self, name: &str, value: u64) {
+    pub fn counter_set(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
         if self.enabled {
             self.metrics.counter_set(name, value);
         }
     }
 
     /// Sets the gauge `name` to `value`. No-op when disabled.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
         if self.enabled {
             self.metrics.gauge_set(name, value);
         }
@@ -468,7 +541,7 @@ impl Telemetry {
 
     /// Observes `value` in the histogram `name` (auto-registered with the
     /// default millisecond buckets on first use). No-op when disabled.
-    pub fn observe(&mut self, name: &str, value: u64) {
+    pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
         if self.enabled {
             self.metrics.observe(name, value);
         }
@@ -616,6 +689,71 @@ mod tests {
     }
 
     #[test]
+    fn absorb_moves_records_under_the_merge_contract() {
+        let mut world = Telemetry::new();
+        let phone = world.lane("phone");
+        let before = world.enter(phone, "before", t(0));
+        world.exit(before, t(1));
+        world.emit(t(0), "first", "kept");
+        world.set_event_capacity(2);
+        world.counter_add("flux.c", 1);
+        world.observe("flux.h", 5);
+
+        let mut shard = Telemetry::new();
+        let tablet = shard.lane("tablet");
+        let shard_phone = shard.lane("phone");
+        shard.enter(shard_phone, "outer", t(1));
+        shard.enter(shard_phone, format!("replay.svc.{}", "alarm"), t(2));
+        shard.finish(t(3));
+        let chunk = Detail::Chunk {
+            bytes: ByteSize::from_kib(256),
+            duration: SimDuration::from_millis(92),
+            congested: true,
+        };
+        shard.instant(tablet, TraceKind::Generic, "net.chunk", t(2), chunk.clone());
+        shard.emit(t(3), "over", "past the cap");
+        shard.counter_add("flux.c", 2);
+        shard.gauge_set("flux.g", 7.5);
+        shard.observe("flux.h", 50);
+        shard.counter_add("flux.new", 3);
+
+        world.absorb(shard, SimDuration::from_millis(10));
+        // Lanes match by name; the shard's world lane is this world lane.
+        assert_eq!(world.lanes(), ["world", "phone", "tablet"]);
+        let spans = world.spans();
+        assert_eq!(spans.len(), 3);
+        assert_eq!(
+            (
+                &*spans[1].name,
+                spans[1].lane,
+                spans[1].parent,
+                spans[1].start
+            ),
+            ("outer", phone, None, t(11))
+        );
+        // Parent links are remapped past the spans already here, and the
+        // names move as they were: borrowed stays borrowed.
+        assert_eq!(spans[2].parent, Some(SpanId(1)));
+        assert_eq!(spans[2].end, Some(t(13)));
+        assert!(matches!(spans[1].name, Cow::Borrowed("outer")));
+        assert!(matches!(&spans[2].name, Cow::Owned(n) if n == "replay.svc.alarm"));
+        // Instants pass through `instant`, so this hub's cap applies.
+        assert_eq!(world.instants().len(), 2);
+        assert_eq!(world.dropped_events(), 1);
+        let moved = &world.instants()[1];
+        assert_eq!((moved.lane, moved.at), (LaneId(2), t(12)));
+        assert_eq!(moved.detail, chunk);
+        // Metrics merge by kind.
+        let m = world.metrics();
+        assert_eq!((m.counter("flux.c"), m.counter("flux.new")), (3, 3));
+        assert_eq!(m.gauge("flux.g"), Some(7.5));
+        assert_eq!(
+            m.histogram("flux.h").map(|h| (h.count(), h.sum())),
+            Some((2, 55))
+        );
+    }
+
+    #[test]
     fn finish_closes_everything() {
         let mut tele = Telemetry::new();
         let lane = tele.lane("dev");
@@ -649,7 +787,7 @@ mod trace {
             tele.instant(lane, TraceKind::Fault, "b", t(1), "2");
             tele.emit_kind(t(2), TraceKind::Retry, "c", "3");
             tele.instant(lane, TraceKind::Rollback, "d", t(3), "4");
-            let names: Vec<&str> = tele.instants().iter().map(|e| e.name.as_str()).collect();
+            let names: Vec<&str> = tele.instants().iter().map(|e| &*e.name).collect();
             assert_eq!(names, ["a", "b"]);
             assert_eq!(tele.dropped_events(), 2);
             // Spans are not subject to the event cap.

@@ -6,8 +6,15 @@
 //! every exporter's output — is in deterministic name order regardless of
 //! registration order.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Bucket bounds of [`Histogram::default_latency_ms`]: 1 ms .. ~2 min.
+/// Every default histogram borrows this one table.
+static DEFAULT_LATENCY_MS: [u64; 16] = [
+    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 30_000, 60_000, 120_000,
+];
 
 /// A fixed-bucket histogram over `u64` observations.
 ///
@@ -16,7 +23,7 @@ use std::fmt;
 /// (`counts[bounds.len()]`) is the overflow bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: Vec<u64>,
+    bounds: Cow<'static, [u64]>,
     counts: Vec<u64>,
     count: u64,
     sum: u64,
@@ -25,21 +32,22 @@ pub struct Histogram {
 impl Histogram {
     /// Creates a histogram with the given ascending upper bounds.
     pub fn new(bounds: &[u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-        }
+        Self::with_bounds(Cow::Owned(bounds.to_vec()))
     }
 
     /// Default buckets for millisecond-scale latencies: 1ms .. ~2min.
     pub fn default_latency_ms() -> Self {
-        Self::new(&[
-            1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 30_000, 60_000,
-            120_000,
-        ])
+        Self::with_bounds(Cow::Borrowed(&DEFAULT_LATENCY_MS))
+    }
+
+    fn with_bounds(bounds: Cow<'static, [u64]>) -> Self {
+        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+        Self {
+            counts: vec![0; bounds.len() + 1],
+            bounds,
+            count: 0,
+            sum: 0,
+        }
     }
 
     /// Records one observation.
@@ -112,9 +120,12 @@ impl fmt::Display for Metric {
 }
 
 /// A name-ordered registry of metrics. See the [module docs](self).
+///
+/// Names known at compile time are borrowed, so writing a metric under
+/// one allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    metrics: BTreeMap<String, Metric>,
+    metrics: BTreeMap<Cow<'static, str>, Metric>,
 }
 
 impl MetricsRegistry {
@@ -126,11 +137,12 @@ impl MetricsRegistry {
     /// Adds `delta` to the counter `name`, creating it at zero first.
     /// Writing a counter over an existing gauge/histogram replaces it —
     /// names are expected to be used consistently.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        match self.metrics.get_mut(name) {
+    pub fn counter_add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
+        let name = name.into();
+        match self.metrics.get_mut(&*name) {
             Some(Metric::Counter(v)) => *v += delta,
             _ => {
-                self.metrics.insert(name.to_owned(), Metric::Counter(delta));
+                self.metrics.insert(name, Metric::Counter(delta));
             }
         }
     }
@@ -139,35 +151,36 @@ impl MetricsRegistry {
     /// harvest passes that scrape an already-accumulated counter out of a
     /// component (e.g. the binder driver's transaction count) without
     /// double-counting on repeated harvests.
-    pub fn counter_set(&mut self, name: &str, value: u64) {
-        self.metrics.insert(name.to_owned(), Metric::Counter(value));
+    pub fn counter_set(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
+        self.metrics.insert(name.into(), Metric::Counter(value));
     }
 
     /// Sets the gauge `name` to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.metrics.insert(name.to_owned(), Metric::Gauge(value));
+    pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
+        self.metrics.insert(name.into(), Metric::Gauge(value));
     }
 
     /// Registers a histogram with explicit bucket bounds if `name` is not
     /// already a histogram.
-    pub fn register_histogram(&mut self, name: &str, bounds: &[u64]) {
-        if !matches!(self.metrics.get(name), Some(Metric::Histogram(_))) {
+    pub fn register_histogram(&mut self, name: impl Into<Cow<'static, str>>, bounds: &[u64]) {
+        let name = name.into();
+        if !matches!(self.metrics.get(&*name), Some(Metric::Histogram(_))) {
             self.metrics
-                .insert(name.to_owned(), Metric::Histogram(Histogram::new(bounds)));
+                .insert(name, Metric::Histogram(Histogram::new(bounds)));
         }
     }
 
     /// Observes `value` in the histogram `name`, auto-registering it with
     /// [`Histogram::default_latency_ms`] buckets on first use.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        if !matches!(self.metrics.get(name), Some(Metric::Histogram(_))) {
-            self.metrics.insert(
-                name.to_owned(),
-                Metric::Histogram(Histogram::default_latency_ms()),
-            );
-        }
-        if let Some(Metric::Histogram(h)) = self.metrics.get_mut(name) {
-            h.observe(value);
+    pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
+        let name = name.into();
+        match self.metrics.get_mut(&*name) {
+            Some(Metric::Histogram(h)) => h.observe(value),
+            _ => {
+                let mut h = Histogram::default_latency_ms();
+                h.observe(value);
+                self.metrics.insert(name, Metric::Histogram(h));
+            }
         }
     }
 
@@ -176,10 +189,11 @@ impl MetricsRegistry {
     /// absorbed registry as the later writer), histograms merge bucket-wise
     /// when the bounds agree. On a kind mismatch — or a histogram bounds
     /// mismatch — `other`'s value replaces this one, mirroring what
-    /// replaying `other`'s writes against this registry would do.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, theirs) in &other.metrics {
-            let merged = match (self.metrics.get_mut(name), theirs) {
+    /// replaying `other`'s writes against this registry would do. `other`
+    /// is consumed, so a replacing metric moves here with its name.
+    pub fn merge_from(&mut self, other: MetricsRegistry) {
+        for (name, theirs) in other.metrics {
+            let merged = match (self.metrics.get_mut(&*name), &theirs) {
                 (Some(Metric::Counter(mine)), Metric::Counter(v)) => {
                     *mine += v;
                     true
@@ -188,7 +202,7 @@ impl MetricsRegistry {
                 _ => false,
             };
             if !merged {
-                self.metrics.insert(name.clone(), theirs.clone());
+                self.metrics.insert(name, theirs);
             }
         }
     }
@@ -224,7 +238,7 @@ impl MetricsRegistry {
 
     /// Iterates metrics in deterministic (name) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.metrics.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Number of registered metrics.

@@ -14,11 +14,14 @@
 mod common;
 
 use flux_core::{
-    migrate, DeviceId, FleetConfig, FleetReport, FleetScheduler, FluxWorld, MigrationConfig,
-    MigrationRequest, MigrationSpec, RetryPolicy,
+    migrate, pair, DeviceId, FleetConfig, FleetReport, FleetScheduler, FluxWorld, MigrationConfig,
+    MigrationRequest, MigrationSpec, RetryPolicy, WorldBuilder,
 };
-use flux_simcore::{FaultConfig, FaultPlan, SimDuration};
+use flux_device::DeviceProfile;
+use flux_net::{Band, RadioTopology};
+use flux_simcore::{FaultConfig, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
 use flux_telemetry::{chrome_trace, json_snapshot};
+use flux_workloads::spec;
 
 /// FNV-1a over the export bytes.
 fn fnv(s: &str) -> u64 {
@@ -76,25 +79,122 @@ fn small_fleet() -> (FluxWorld, FleetReport) {
     (world, report)
 }
 
+/// A contended fleet that takes every path the scheduler, the medium and
+/// the telemetry merge have: three pairs carrying three apps each, two
+/// cells with one roam planned into a running transfer, three slots for
+/// ten requests (so parked requests admit as earlier flights release
+/// their devices), a pre-copy request, a request whose chunks a
+/// congestion spike stretches, a blanket-drop rollback and a refusal.
+fn contended_fleet() -> (FluxWorld, FleetReport) {
+    const PAIRS: [[&str; 3]; 3] = [
+        ["WhatsApp", "Twitter", "Instagram"],
+        ["Netflix", "WhatsApp", "Twitter"],
+        ["Instagram", "Netflix", "WhatsApp"],
+    ];
+    let mut builder = WorldBuilder::new().seed(4242);
+    for (i, apps) in PAIRS.iter().enumerate() {
+        builder = builder
+            .device(&format!("h{i}"), DeviceProfile::nexus4())
+            .device(&format!("g{i}"), DeviceProfile::nexus7_2013());
+        for name in apps {
+            builder = builder.app(2 * i, spec(name).expect("app in Table 3"));
+        }
+    }
+    let (mut world, ids) = builder.build().unwrap();
+    let mut requests = Vec::new();
+    for (i, apps) in PAIRS.iter().enumerate() {
+        let (home, guest) = (ids[2 * i], ids[2 * i + 1]);
+        for name in apps {
+            let app = spec(name).expect("app in Table 3");
+            world
+                .run_script(home, &app.package, &app.actions.clone())
+                .unwrap();
+            let id = requests.len() as u64 + 1;
+            requests.push(MigrationRequest::new(id, home, guest, &app.package));
+        }
+        pair(&mut world, home, guest).unwrap();
+    }
+    requests[1] = requests[1]
+        .clone()
+        .with_faults(common::blanket_drops())
+        .with_config(MigrationConfig {
+            retry: RetryPolicy::none(),
+            ..MigrationConfig::default()
+        });
+    requests[2] = requests[2]
+        .clone()
+        .with_faults(FaultPlan::from_events(vec![FaultEvent {
+            at: SimTime::from_millis(2_500),
+            kind: FaultKind::CongestionSpike,
+            duration: SimDuration::from_secs(2),
+            magnitude: 1.8,
+        }]));
+    requests[4] = requests[4]
+        .clone()
+        .with_config(MigrationConfig::pipelined());
+    requests[7] = requests[7].clone().with_priority(1);
+    requests.push(MigrationRequest::new(
+        10,
+        ids[0],
+        DeviceId(99),
+        "com.missing",
+    ));
+    let topology = RadioTopology::new()
+        .cell("east", 30.0, Band::Ghz5)
+        .cell("west", 36.0, Band::Ghz2_4)
+        .associate(ids[0].0 as u64, "east")
+        .associate(ids[2].0 as u64, "east")
+        .associate(ids[4].0 as u64, "west")
+        .roam(SimDuration::from_millis(2_400), ids[0].0 as u64, "west");
+    let cfg = FleetConfig {
+        max_in_flight: 3,
+        ..FleetConfig::default()
+    };
+    let report = FleetScheduler::new(cfg)
+        .unwrap()
+        .with_topology(topology)
+        .run(&mut world, requests)
+        .unwrap();
+    assert_eq!(
+        (report.completed, report.rolled_back, report.refused),
+        (8, 1, 1)
+    );
+    assert_eq!(report.peak_in_flight, 3);
+    assert!(report.cells.iter().all(|c| !c.segments.is_empty()));
+    finish(&mut world);
+    (world, report)
+}
+
 /// `(export, byte length, FNV-1a digest)`, in the order [`exports`]
 /// renders them.
-const PINS: [(&str, usize, u64); 5] = [
+const PINS: [(&str, usize, u64); 8] = [
     ("migration chrome_trace", 6743, 0xdea8_fbd0_eed8_9d43),
     ("migration json_snapshot", 6996, 0xae87_a95e_8b7d_2787),
     ("fleet chrome_trace", 9574, 0xc382_4220_3a45_9a6f),
     ("fleet json_snapshot", 9688, 0x96a2_d40e_80b6_6043),
     ("fleet report", 1786, 0xb529_0238_8875_60ac),
+    ("contended fleet chrome_trace", 52475, 0xd7c1_dd04_fd7d_2744),
+    (
+        "contended fleet json_snapshot",
+        45671,
+        0x1083_64fb_ec32_b666,
+    ),
+    ("contended fleet report", 12756, 0xb657_6577_171f_74fc),
 ];
 
-fn exports() -> [String; 5] {
+fn exports() -> [String; 8] {
     let migration = faulted_migration();
     let (fleet, report) = small_fleet();
+    let (contended, contended_report) = contended_fleet();
     [
         chrome_trace(&migration.telemetry),
         json_snapshot(&migration.telemetry),
         chrome_trace(&fleet.telemetry),
         json_snapshot(&fleet.telemetry),
         serde::to_json(&report),
+        chrome_trace(&contended.telemetry),
+        json_snapshot(&contended.telemetry),
+        serde::to_json(&contended_report),
     ]
 }
 

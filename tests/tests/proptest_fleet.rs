@@ -304,7 +304,7 @@ proptest! {
         medium.advance(t0 + air);
         prop_assert_eq!(medium.take_completed(), vec![1]);
         // The flow's segments moved cells at the roam instant.
-        let traces = medium.cell_traces();
+        let traces = medium.into_cell_traces();
         let east_last = traces[0].segments.iter().rev()
             .find(|s| s.flows.iter().any(|(id, _)| *id == 1));
         let west_first = traces[1].segments.iter()

@@ -22,6 +22,7 @@ use flux_core::{
 };
 use flux_simcore::{FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
 use flux_telemetry::{stage_span_name, REPORT_STAGES, STAGE_SPAN_PREFIX};
+use std::borrow::Cow;
 
 const SEED: u64 = 7301;
 const APP: &str = "WhatsApp";
@@ -256,7 +257,8 @@ fn emitted_stage_spans_match_the_declared_stages() {
     )
     .expect("pipelined migration succeeds");
 
-    let declared: Vec<String> = REPORT_STAGES.iter().map(|s| stage_span_name(s)).collect();
+    let declared: Vec<Cow<'static, str>> =
+        REPORT_STAGES.iter().map(|s| stage_span_name(s)).collect();
     let mut seen = Vec::new();
     for span in world.telemetry.spans() {
         if span.name.starts_with(STAGE_SPAN_PREFIX) {
