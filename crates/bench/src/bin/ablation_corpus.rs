@@ -16,14 +16,11 @@
 //! five-class failure [`Taxonomy`] (lost-write / stale-replay /
 //! rollback-residue / egl-context / incompatible-feature).
 //!
-//! The binary self-verifies three ways:
+//! The binary self-verifies two ways:
 //!
 //! * the whole grid runs twice and the JSON artifact must come out
 //!   byte-identical — corpus generation and scenario scheduling must not
 //!   cost determinism;
-//! * one cell per corpus size re-runs under the `ParallelExecutor` and
-//!   both its fleet report JSON and its taxonomy JSON must be
-//!   byte-identical to the serial run's;
 //! * the aggregate taxonomy must be non-degenerate (at least three
 //!   distinct classes populated) and the generated census must sit in
 //!   the paper's fig. 13 quantile bands.
@@ -40,8 +37,7 @@
 
 use flux_core::{
     pair, FleetConfig, FleetScheduler, LifecycleEvent, LifecycleSchedule, MigrationConfig,
-    MigrationRequest, MigrationStage, OracleSnapshot, ParallelExecutor, RetryPolicy, Taxonomy,
-    WorldBuilder,
+    MigrationRequest, MigrationStage, OracleSnapshot, RetryPolicy, Taxonomy, WorldBuilder,
 };
 use flux_device::DeviceProfile;
 use flux_playstore::{AppProfile, ProfileCorpus};
@@ -138,16 +134,13 @@ impl serde::Serialize for Cell {
     }
 }
 
-/// Runs one (corpus size, schedule, fault plan) cell; `parallel` swaps
-/// the default serial executor for [`ParallelExecutor::auto`]. Returns
-/// the cell plus the raw fleet-report JSON (for executor identity).
+/// Runs one (corpus size, schedule, fault plan) cell.
 fn run_cell(
     corpus_size: usize,
     sample: usize,
     schedule: LifecycleSchedule,
     faulty: bool,
-    parallel: bool,
-) -> Result<(Cell, String), String> {
+) -> Result<Cell, String> {
     let corpus = ProfileCorpus::new(SEED, corpus_size);
     let ids = sampled_ids(&corpus, sample);
     let profiles: Vec<AppProfile> = ids.iter().map(|&id| corpus.profile(id)).collect();
@@ -195,34 +188,26 @@ fn run_cell(
         requests.push(req);
     }
 
-    let mut scheduler = FleetScheduler::new(FleetConfig {
+    let report = FleetScheduler::new(FleetConfig {
         max_in_flight: 16,
         ..FleetConfig::default()
     })
+    .map_err(|e| e.to_string())?
+    .run(&mut world, requests)
     .map_err(|e| e.to_string())?;
-    if parallel {
-        scheduler = scheduler.with_executor(ParallelExecutor::auto());
-    }
-    let report = scheduler
-        .run(&mut world, requests)
-        .map_err(|e| e.to_string())?;
 
     let mut taxonomy = Taxonomy::default();
     for (flight, snap) in report.flights.iter().zip(&snapshots) {
         taxonomy.record(&snap.verdict_for(&world, &flight.outcome));
     }
-    let report_json = serde::to_json(&report);
-    Ok((
-        Cell {
-            corpus: corpus_size,
-            schedule,
-            faulty,
-            sampled: profiles.len(),
-            taxonomy,
-            makespan: report.makespan,
-        },
-        report_json,
-    ))
+    Ok(Cell {
+        corpus: corpus_size,
+        schedule,
+        faulty,
+        sampled: profiles.len(),
+        taxonomy,
+        makespan: report.makespan,
+    })
 }
 
 /// Runs the grid once; returns the cells plus the rendered table.
@@ -252,7 +237,7 @@ fn run_grid(corpora: &[usize], sample: usize) -> Result<(Vec<Cell>, String), Str
     for &corpus in corpora {
         for schedule in SCHEDULES {
             for faulty in [false, true] {
-                let (cell, _) = run_cell(corpus, sample, schedule, faulty, false).map_err(|e| {
+                let cell = run_cell(corpus, sample, schedule, faulty).map_err(|e| {
                     format!("corpus {corpus} {} faults {faulty}: {e}", schedule.key())
                 })?;
                 let t = &cell.taxonomy;
@@ -277,27 +262,6 @@ fn run_grid(corpora: &[usize], sample: usize) -> Result<(Vec<Cell>, String), Str
         }
     }
     Ok((cells, out))
-}
-
-/// Re-runs one representative cell per corpus size under the parallel
-/// executor and demands byte-identical report and taxonomy JSON.
-fn check_executor_identity(corpora: &[usize], sample: usize) -> Result<(), String> {
-    for &corpus in corpora {
-        let schedule = LifecycleSchedule::KillThenMigrate;
-        let (serial_cell, serial_json) = run_cell(corpus, sample, schedule, true, false)?;
-        let (parallel_cell, parallel_json) = run_cell(corpus, sample, schedule, true, true)?;
-        if serial_json != parallel_json {
-            return Err(format!(
-                "corpus {corpus}: serial and parallel executors diverged on the fleet report"
-            ));
-        }
-        if serde::to_json(&serial_cell.taxonomy) != serde::to_json(&parallel_cell.taxonomy) {
-            return Err(format!(
-                "corpus {corpus}: serial and parallel executors diverged on the taxonomy"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// The grid must exercise the taxonomy, not report a wall of zeroes: at
@@ -393,17 +357,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Err(e) = check_executor_identity(corpora, sample) {
-        eprintln!("ablation_corpus: {e}");
-        return ExitCode::FAILURE;
-    }
     if let Err(e) = check_non_degenerate(&cells, corpora) {
         eprintln!("ablation_corpus: {e}");
         return ExitCode::FAILURE;
     }
 
     print!("{table}");
-    println!("\ntaxonomy non-degenerate; passes and executors byte-identical");
+    println!("\ntaxonomy non-degenerate; passes byte-identical");
 
     let dir = std::path::Path::new(&out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {

@@ -18,13 +18,10 @@
 //! budgets), the speedup, the peak concurrency reached, and the queue-wait
 //! distribution (mean / p50 / p90 / p99 / max across flights).
 //!
-//! The binary self-verifies four ways:
+//! The binary self-verifies three ways:
 //!
 //! * the whole grid runs twice and the JSON artifact must come out
 //!   byte-identical — stage-level scheduling must not cost determinism;
-//! * one cell per fleet size re-runs under the `ParallelExecutor` and its
-//!   full report JSON must be byte-identical to the serial run's — worker
-//!   count must be invisible;
 //! * on roam-free topologies the `max-in-flight = 1` cell's makespan must
 //!   *equal* its serialized makespan exactly;
 //! * every `max-in-flight > 1` cell must strictly beat its own serialized
@@ -41,10 +38,7 @@
 //! `--smoke` is the CI size: the 10k-request row only.
 
 use flux_bench::mean_u64;
-use flux_core::{
-    pair, FleetConfig, FleetReport, FleetScheduler, MigrationRequest, ParallelExecutor,
-    WorldBuilder,
-};
+use flux_core::{pair, FleetConfig, FleetReport, FleetScheduler, MigrationRequest, WorldBuilder};
 use flux_device::DeviceProfile;
 use flux_net::{Band, RadioTopology};
 use flux_simcore::SimDuration;
@@ -100,14 +94,8 @@ fn topology_for(cells: usize, pairs: usize) -> RadioTopology {
     topology
 }
 
-/// Runs one (fleet size, max-in-flight, cell count) grid cell; `parallel`
-/// swaps the default serial executor for [`ParallelExecutor::auto`].
-fn run_cell(
-    fleet: usize,
-    max_in_flight: usize,
-    cells: usize,
-    parallel: bool,
-) -> Result<FleetReport, String> {
+/// Runs one (fleet size, max-in-flight, cell count) grid cell.
+fn run_cell(fleet: usize, max_in_flight: usize, cells: usize) -> Result<FleetReport, String> {
     let apps = migratable_apps();
     let per_pair = apps.len();
     let pairs = fleet.div_ceil(per_pair);
@@ -138,18 +126,14 @@ fn run_cell(
         }
         pair(&mut world, home, guest).map_err(|e| e.to_string())?;
     }
-    let mut scheduler = FleetScheduler::new(FleetConfig {
+    FleetScheduler::new(FleetConfig {
         max_in_flight,
         ..FleetConfig::default()
     })
     .map_err(|e| e.to_string())?
-    .with_topology(topology_for(cells, pairs));
-    if parallel {
-        scheduler = scheduler.with_executor(ParallelExecutor::auto());
-    }
-    scheduler
-        .run(&mut world, requests)
-        .map_err(|e| e.to_string())
+    .with_topology(topology_for(cells, pairs))
+    .run(&mut world, requests)
+    .map_err(|e| e.to_string())
 }
 
 /// A duration distribution over the fleet's flights.
@@ -260,7 +244,7 @@ fn run_grid(fleets: &[usize]) -> Result<(Vec<Row>, String), String> {
     for &fleet in fleets {
         for &cells in &CELL_COUNTS {
             for &limit in &MAX_IN_FLIGHT {
-                let r = run_cell(fleet, limit, cells, false)
+                let r = run_cell(fleet, limit, cells)
                     .map_err(|e| format!("fleet {fleet} limit {limit} cells {cells}: {e}"))?;
                 let roam_free = cells == 1;
                 if limit == 1 && roam_free && r.makespan != r.serialized_makespan {
@@ -313,23 +297,6 @@ fn run_grid(fleets: &[usize]) -> Result<(Vec<Row>, String), String> {
         }
     }
     Ok((rows, out))
-}
-
-/// Re-runs one representative cell per fleet size under the parallel
-/// executor and demands a byte-identical report JSON — worker count must
-/// be invisible at full scale, not just in the proptests.
-fn check_executor_identity(fleets: &[usize]) -> Result<(), String> {
-    let (limit, cells) = (MAX_IN_FLIGHT[MAX_IN_FLIGHT.len() - 1], 4);
-    for &fleet in fleets {
-        let serial = run_cell(fleet, limit, cells, false)?;
-        let parallel = run_cell(fleet, limit, cells, true)?;
-        if serde::to_json(&serial) != serde::to_json(&parallel) {
-            return Err(format!(
-                "fleet {fleet} limit {limit} cells {cells}: serial and parallel executors diverged"
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn grid_json(rows: &[Row]) -> String {
@@ -388,13 +355,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Err(e) = check_executor_identity(fleets) {
-        eprintln!("ablation_fleet: {e}");
-        return ExitCode::FAILURE;
-    }
-
     print!("{table}");
-    println!("\nall concurrent cells beat their serialized makespan; passes and executors byte-identical");
+    println!("\nall concurrent cells beat their serialized makespan; passes byte-identical");
 
     let dir = std::path::Path::new(&out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {

@@ -36,7 +36,7 @@ pub use ctx::StageCtx;
 pub use driver::migrate;
 pub use failure::StageFailure;
 pub use replay_warmup::broadcast_connectivity;
-pub use slices::{ArmAction, Slice, SliceCursor, SliceKind};
+pub use slices::{Slice, SliceKind};
 
 use crate::migration::{MigrationStage, StageTimes};
 use flux_simcore::SimDuration;

@@ -1,7 +1,7 @@
 //! The engine's slice vocabulary: the stage-level [`Slice`] schedule an
 //! executed migration is cut into, the `SliceLog` the driver and the
 //! radio-keying stages record it into as the clock moves, and the
-//! [`SliceCursor`] the fleet scheduler walks to re-time those slices on
+//! `SliceCursor` the fleet scheduler walks to re-time those slices on
 //! its timeline.
 //!
 //! The slice boundaries are the driver's stage brackets and the radio
@@ -133,7 +133,7 @@ impl SliceLog {
 
 /// What the fleet scheduler should do for the cursor's current position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArmAction {
+pub(crate) enum ArmAction {
     /// Hold the migration's devices for `dur`, then step the cursor.
     Cpu {
         /// Isolated duration of the slice.
@@ -154,12 +154,12 @@ pub enum ArmAction {
 /// A cursor over an executed migration's [`Slice`] schedule.
 ///
 /// The scheduler re-times slices one at a time on the fleet timeline;
-/// the cursor owns the walk — zero-duration skips, the position, and the
-/// first/last-transfer bracket (`transfer_start`/`transfer_end`, the
-/// flight record's transfer phase) — so `fleet.rs::step_flight` carries
-/// no slice bookkeeping of its own.
+/// the cursor owns the walk — the position and the first/last-transfer
+/// bracket (`transfer_start`/`transfer_end`, the flight record's transfer
+/// phase) — so `fleet.rs::step_flight` carries no slice bookkeeping of
+/// its own.
 #[derive(Debug)]
-pub struct SliceCursor {
+pub(crate) struct SliceCursor {
     slices: Vec<Slice>,
     pos: usize,
     first_transfer: Option<usize>,
@@ -170,7 +170,13 @@ pub struct SliceCursor {
 
 impl SliceCursor {
     /// A cursor at the start of `slices`.
-    pub fn new(slices: Vec<Slice>) -> Self {
+    ///
+    /// `SliceLog` never records an empty slice, so one here is an engine
+    /// bug: it panics rather than be stepped over.
+    pub(crate) fn new(slices: Vec<Slice>) -> Self {
+        if let Some(empty) = slices.iter().find(|s| s.dur == SimDuration::ZERO) {
+            panic!("slice cursor: empty slice {empty:?} in the schedule");
+        }
         let first_transfer = slices.iter().position(|s| s.stage == "transfer");
         let last_transfer = slices.iter().rposition(|s| s.stage == "transfer");
         Self {
@@ -183,36 +189,29 @@ impl SliceCursor {
         }
     }
 
-    /// Advances past zero-duration slices (marking the transfer bracket
-    /// at `now` as it crosses it) and reports what to arm for the first
-    /// armable slice — or [`ArmAction::Drained`] when none remains.
-    pub fn arm(&mut self, now: SimTime) -> ArmAction {
-        while let Some(slice) = self.slices.get(self.pos) {
-            if self.first_transfer == Some(self.pos) && self.transfer_start.is_none() {
-                self.transfer_start = Some(now);
-            }
-            if slice.dur == SimDuration::ZERO {
-                if self.last_transfer == Some(self.pos) {
-                    self.transfer_end = Some(now);
-                }
-                self.pos += 1;
-                continue;
-            }
-            return match slice.kind {
-                SliceKind::Cpu => ArmAction::Cpu { dur: slice.dur },
-                SliceKind::Transfer { bytes } => ArmAction::Transfer {
-                    bytes,
-                    dur: slice.dur,
-                },
-            };
+    /// Reports what to arm for the current slice — or
+    /// [`ArmAction::Drained`] when none remains — opening the transfer
+    /// bracket at `now` if it is the first transfer-stage slice.
+    pub(crate) fn arm(&mut self, now: SimTime) -> ArmAction {
+        let Some(slice) = self.slices.get(self.pos) else {
+            return ArmAction::Drained;
+        };
+        if self.first_transfer == Some(self.pos) {
+            self.transfer_start = Some(now);
         }
-        ArmAction::Drained
+        match slice.kind {
+            SliceKind::Cpu => ArmAction::Cpu { dur: slice.dur },
+            SliceKind::Transfer { bytes } => ArmAction::Transfer {
+                bytes,
+                dur: slice.dur,
+            },
+        }
     }
 
     /// Steps past the just-completed slice, marking the transfer bracket.
     /// Returns `false` when the cursor had already drained — the flight
     /// is finished.
-    pub fn step(&mut self, now: SimTime) -> bool {
+    pub(crate) fn step(&mut self, now: SimTime) -> bool {
         if self.pos >= self.slices.len() {
             return false;
         }
@@ -224,12 +223,12 @@ impl SliceCursor {
     }
 
     /// When the first transfer-stage slice was armed, if it has been.
-    pub fn transfer_start(&self) -> Option<SimTime> {
+    pub(crate) fn transfer_start(&self) -> Option<SimTime> {
         self.transfer_start
     }
 
     /// When the last transfer-stage slice completed, if it has.
-    pub fn transfer_end(&self) -> Option<SimTime> {
+    pub(crate) fn transfer_end(&self) -> Option<SimTime> {
         self.transfer_end
     }
 }
@@ -356,11 +355,6 @@ mod tests {
             },
             Slice {
                 stage: "transfer",
-                kind: SliceKind::Cpu,
-                dur: SimDuration::ZERO,
-            },
-            Slice {
-                stage: "transfer",
                 kind: SliceKind::Transfer { bytes: mib },
                 dur: SimDuration::from_secs(2),
             },
@@ -378,8 +372,7 @@ mod tests {
             }
         );
         assert!(cursor.step(t(11)));
-        // The zero-duration verify head is skipped in the same arm call
-        // that admits the radio slice; the bracket opens there.
+        // Arming the first transfer-stage slice opens the bracket.
         assert_eq!(
             cursor.arm(t(11)),
             ArmAction::Transfer {
@@ -400,6 +393,16 @@ mod tests {
         assert!(cursor.step(t(14)));
         assert_eq!(cursor.arm(t(14)), ArmAction::Drained);
         assert!(!cursor.step(t(14)), "drained cursor reports finished");
+    }
+
+    #[test]
+    #[should_panic(expected = "empty slice")]
+    fn cursor_refuses_an_empty_slice() {
+        SliceCursor::new(vec![Slice {
+            stage: "transfer",
+            kind: SliceKind::Cpu,
+            dur: SimDuration::ZERO,
+        }]);
     }
 
     #[test]

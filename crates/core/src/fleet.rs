@@ -33,16 +33,14 @@
 //! # Execution model and determinism
 //!
 //! The fleet runs on two levels, split behind the [`Executor`] API. An
-//! executor *executes* every request of the batch up front, each inside a
-//! private two-device *world shard* with a clock opened at the batch
-//! start, a forked RNG stream keyed by the request id, and a private
-//! telemetry hub — see the [`executor`](crate::executor) module for the
-//! shard construction and the conflict-group rule that lets
-//! [`ParallelExecutor`](crate::ParallelExecutor) run device-disjoint
-//! requests on OS threads. Execution yields a stage-level
-//! [slice schedule](crate::Slice) per request: every engine stage the
-//! run passed through, cut into CPU stretches and radio windows as the
-//! engine's clock moved.
+//! executor *executes* every request of the batch up front, one at a
+//! time in canonical order, each inside a private two-device *world
+//! shard* with a clock opened at the batch start, a forked RNG stream
+//! keyed by the request id, and a private telemetry hub — see the
+//! [`executor`](crate::executor) module for the shard construction.
+//! Execution yields a stage-level [slice schedule](crate::Slice) per
+//! request: every engine stage the run passed through, cut into CPU
+//! stretches and radio windows as the engine's clock moved.
 //!
 //! The scheduler then re-times that schedule on the shared fleet
 //! [`Timeline`] with a per-request *stage cursor*: each CPU slice is an
@@ -59,9 +57,8 @@
 //! order is a pure function of (priority, request id) and completion
 //! events, and RNG streams are keyed by request id — never by submission
 //! or execution order. A batch therefore produces byte-identical reports
-//! and telemetry however its requests were permuted *and whichever
-//! executor runs it*; the executor proptests pin serial/parallel
-//! byte-identity across worker counts. Simultaneous fleet events are
+//! and telemetry however its requests were permuted; the fleet proptests
+//! pin that permutation invariance. Simultaneous fleet events are
 //! interleaved by a [`Timeline`] keyed on the stable request id (planned
 //! roams fire after request events at the same instant, keyed from
 //! `u64::MAX` downward). When the batch drains, the world clock advances
@@ -97,9 +94,9 @@
 //! assert!(report.makespan > flux_simcore::SimDuration::ZERO);
 //! ```
 
-use crate::engine::{ArmAction, SliceCursor, SliceKind};
+use crate::engine::slices::{ArmAction, SliceCursor, SliceKind};
 use crate::errors::FluxError;
-use crate::executor::{ExecutedMigration, Executor, SerialExecutor};
+use crate::executor::{canonical_order, ExecutedMigration, Executor, SerialExecutor};
 use crate::migration::{MigrationConfig, MigrationReport, MigrationStage, StageInterrupt};
 use crate::world::{DeviceId, FluxWorld};
 use flux_appfw::LifecycleEvent;
@@ -436,8 +433,8 @@ impl<'de> serde::Deserialize<'de> for FleetReport {
 struct Active {
     idx: usize,
     admitted_at: SimTime,
-    /// The engine-owned walk over the executed schedule: position,
-    /// zero-duration skips and the transfer bracket all live here.
+    /// The engine-owned walk over the executed schedule: the position and
+    /// the transfer bracket live here.
     cursor: SliceCursor,
     outcome: FleetOutcome,
 }
@@ -457,9 +454,8 @@ enum FleetEvent {
 /// Drives batches of migrations concurrently over virtual time.
 ///
 /// Execution is delegated to the configured [`Executor`] —
-/// [`SerialExecutor`] by default, [`ParallelExecutor`](crate::ParallelExecutor)
-/// via [`FleetScheduler::with_executor`] — with byte-identical results
-/// either way. See the [module docs](self) for the execution model.
+/// [`SerialExecutor`] unless [`FleetScheduler::with_executor`] installs
+/// another. See the [module docs](self) for the execution model.
 #[derive(Debug, Clone)]
 pub struct FleetScheduler {
     cfg: FleetConfig,
@@ -517,11 +513,6 @@ impl FleetScheduler {
     /// The installed cell topology, if any.
     pub fn topology(&self) -> Option<&RadioTopology> {
         self.topology.as_ref()
-    }
-
-    /// The executor batches run through.
-    pub fn executor(&self) -> &dyn Executor {
-        &*self.executor
     }
 
     /// Runs `requests` to completion and returns the fleet report.
@@ -591,10 +582,9 @@ impl FleetScheduler {
             .collect();
         debug_assert_eq!(execs.len(), requests.len());
 
-        // Canonical queue order — priority descending, id ascending — is
-        // independent of the order `requests` arrived in.
-        let mut queue: Vec<usize> = (0..requests.len()).collect();
-        queue.sort_by_key(|&i| (std::cmp::Reverse(requests[i].priority), requests[i].id));
+        // Admission follows the executor's canonical order, independent of
+        // the order `requests` arrived in.
+        let queue = canonical_order(&requests);
 
         let mut medium = RadioMedium::with_topology(topology, start);
         let mut timeline: Timeline<FleetEvent> = Timeline::new();
@@ -808,10 +798,9 @@ impl FleetScheduler {
 
 /// Arms the flight's cursor slice: a CPU slice becomes a timeline event at
 /// its completion instant; a radio window is admitted onto the medium in
-/// the home device's cell. Zero-duration slices are skipped. A drained
-/// schedule arms a same-instant [`FleetEvent::SliceDone`] so the flight
-/// finishes through the event loop (keeping same-instant ordering keyed by
-/// request id).
+/// the home device's cell. A drained schedule arms a same-instant
+/// [`FleetEvent::SliceDone`] so the flight finishes through the event loop
+/// (keeping same-instant ordering keyed by request id).
 fn arm(
     flight: &mut Active,
     req: &MigrationRequest,

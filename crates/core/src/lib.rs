@@ -61,11 +61,10 @@ pub mod world;
 
 pub use builder::WorldBuilder;
 pub use cria::{FluxImage, ReinitSpec, IMAGE_COMPRESS_RATIO, LOG_COMPRESS_RATIO};
-pub use engine::{broadcast_connectivity, migrate, ArmAction, SliceCursor, StageFailure};
+pub use engine::{broadcast_connectivity, migrate, StageFailure};
 pub use errors::FluxError;
 pub use executor::{
-    ExecutedMigration, Executor, ParallelExecutor, SerialExecutor, Slice, SliceKind,
-    FLEET_RNG_STREAM,
+    ExecutedMigration, Executor, SerialExecutor, Slice, SliceKind, FLEET_RNG_STREAM,
 };
 pub use fleet::{
     run_fleet, FleetConfig, FleetOutcome, FleetReport, FleetScheduler, FlightRecord,

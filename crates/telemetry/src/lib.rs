@@ -401,8 +401,8 @@ impl Telemetry {
     /// applies; its metrics merge by kind (counters add, gauges
     /// last-write-wins, histograms bucket-wise). Absorbing equal hubs
     /// into two hubs in the same order produces byte-identical state,
-    /// which is what lets serial and parallel fleet executors share one
-    /// merge path.
+    /// which is what lets a fleet run each request in a shard of its own
+    /// and still export the same bytes on every run.
     ///
     /// Spans still open in `other` stay open here (and are *not* pushed on
     /// any open-stack, so [`Telemetry::finish`] will not close them);

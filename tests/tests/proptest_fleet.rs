@@ -199,7 +199,9 @@ proptest! {
     }
 
     // (4) Permutation invariance: equal-priority batches produce a
-    // byte-identical report whatever order the request vector arrives in.
+    // byte-identical report whatever order the request vector arrives in,
+    // on disjoint pairs and on a shared home whose requests chain through
+    // one device.
     #[test]
     fn submission_order_is_invisible_under_equal_priorities(
         seed in 0..100_000u64,
@@ -207,20 +209,28 @@ proptest! {
         limit in 1..5usize,
         rot in 0..4usize,
         reverse in any::<bool>(),
+        shared_home in any::<bool>(),
     ) {
         let apps = &POOL[..n];
         let cfg = FleetConfig {
             max_in_flight: limit,
             ..FleetConfig::default()
         };
+        let stage = |s| {
+            if shared_home {
+                common::shared_home_world(apps, s)
+            } else {
+                common::fleet_world(apps, s)
+            }
+        };
 
-        let (mut w1, p1) = common::fleet_world(apps, seed);
+        let (mut w1, p1) = stage(seed);
         let r1 = FleetScheduler::new(cfg)
             .unwrap()
             .run(&mut w1, requests_for(&p1, None))
             .unwrap();
 
-        let (mut w2, p2) = common::fleet_world(apps, seed);
+        let (mut w2, p2) = stage(seed);
         let mut permuted = requests_for(&p2, None);
         permuted.rotate_left(rot % n);
         if reverse {
