@@ -165,9 +165,50 @@ fn contended_fleet() -> (FluxWorld, FleetReport) {
     (world, report)
 }
 
+/// A fleet whose guest is paired with two homes, device 0 and device 2,
+/// so the engine must find each pairing under its own home's key while
+/// the other stays in place. The device-2 request runs first (lower id,
+/// same priority). Two home == guest requests, one of them for an app
+/// the home does run, are refused pre-flight.
+fn shared_guest_fleet() -> (FluxWorld, FleetReport) {
+    let whatsapp = spec("WhatsApp").expect("app in Table 3");
+    let twitter = spec("Twitter").expect("app in Table 3");
+    let (mut world, ids) = WorldBuilder::new()
+        .seed(2626)
+        .device("h0", DeviceProfile::nexus4())
+        .device("g", DeviceProfile::nexus7_2013())
+        .device("h2", DeviceProfile::nexus4())
+        .app(0, whatsapp.clone())
+        .app(2, twitter.clone())
+        .build()
+        .unwrap();
+    let (h0, guest, h2) = (ids[0], ids[1], ids[2]);
+    world
+        .run_script(h0, &whatsapp.package, &whatsapp.actions)
+        .unwrap();
+    world
+        .run_script(h2, &twitter.package, &twitter.actions)
+        .unwrap();
+    pair(&mut world, h0, guest).unwrap();
+    pair(&mut world, h2, guest).unwrap();
+    let requests = vec![
+        MigrationRequest::new(1, h2, guest, &twitter.package),
+        MigrationRequest::new(2, h0, guest, &whatsapp.package),
+        MigrationRequest::new(3, h2, h2, &twitter.package),
+        MigrationRequest::new(4, guest, guest, "com.missing"),
+    ];
+    let report = FleetScheduler::new(FleetConfig::default())
+        .unwrap()
+        .run(&mut world, requests)
+        .unwrap();
+    assert_eq!((report.completed, report.refused), (2, 2));
+    finish(&mut world);
+    (world, report)
+}
+
 /// `(export, byte length, FNV-1a digest)`, in the order [`exports`]
 /// renders them.
-const PINS: [(&str, usize, u64); 8] = [
+const PINS: [(&str, usize, u64); 11] = [
     ("migration chrome_trace", 6743, 0xdea8_fbd0_eed8_9d43),
     ("migration json_snapshot", 6996, 0xae87_a95e_8b7d_2787),
     ("fleet chrome_trace", 9574, 0xc382_4220_3a45_9a6f),
@@ -180,12 +221,24 @@ const PINS: [(&str, usize, u64); 8] = [
         0x1083_64fb_ec32_b666,
     ),
     ("contended fleet report", 12756, 0xb657_6577_171f_74fc),
+    (
+        "shared-guest fleet chrome_trace",
+        13358,
+        0x7ea2_5bc1_e929_8b8d,
+    ),
+    (
+        "shared-guest fleet json_snapshot",
+        12717,
+        0xbcc0_1062_df75_e195,
+    ),
+    ("shared-guest fleet report", 2635, 0xad04_e6ff_84e8_3b96),
 ];
 
-fn exports() -> [String; 8] {
+fn exports() -> [String; 11] {
     let migration = faulted_migration();
     let (fleet, report) = small_fleet();
     let (contended, contended_report) = contended_fleet();
+    let (shared, shared_report) = shared_guest_fleet();
     [
         chrome_trace(&migration.telemetry),
         json_snapshot(&migration.telemetry),
@@ -195,6 +248,9 @@ fn exports() -> [String; 8] {
         chrome_trace(&contended.telemetry),
         json_snapshot(&contended.telemetry),
         serde::to_json(&contended_report),
+        chrome_trace(&shared.telemetry),
+        json_snapshot(&shared.telemetry),
+        serde::to_json(&shared_report),
     ]
 }
 
