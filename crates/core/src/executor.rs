@@ -1,5 +1,5 @@
-//! The fleet execution engine: the [`Executor`] API and the shard
-//! pipeline behind it, deterministic by construction.
+//! The fleet execution engine: the [`Executor`] API and the in-place
+//! execution behind it, deterministic by construction.
 //!
 //! # The execute/schedule split
 //!
@@ -13,48 +13,51 @@
 //! individually. The [`FleetScheduler`](crate::FleetScheduler) owns
 //! scheduling; it delegates execution to an [`Executor`], which runs
 //! every request **up front**, in the canonical order (priority
-//! descending, request id ascending), each inside a private *world
-//! shard*.
+//! descending, request id ascending), each on the world's own devices
+//! under a *request context* of its own.
 //!
-//! # World shards
+//! # Request contexts
 //!
-//! A shard is a two-device [`FluxWorld`] built by *moving* the request's
-//! home and guest devices out of the main world (cheap placeholders keep
-//! the indices stable), with:
+//! For the length of one request's run, the executor swaps the request's
+//! context into the world in place of the world's own:
 //!
-//! * a **private clock** starting at the batch-open instant — every
-//!   request executes at the same virtual instant whatever its admission
-//!   order, and absolute-time comparisons (e.g. alarm expiry against
-//!   recorded timestamps) behave exactly as a lone migration run at batch
-//!   open would;
+//! * a **clock** at the batch-open instant — every request executes at
+//!   the same virtual instant whatever its admission order, and
+//!   absolute-time comparisons (e.g. alarm expiry against recorded
+//!   timestamps) behave exactly as a lone migration run at batch open
+//!   would;
 //! * a **forked RNG stream**: one draw leaves the world's network stream
 //!   per batch (never per request), and each request's stream is derived
 //!   from that draw and its id — so streams are independent of batch
 //!   order and batch size;
-//! * a **private telemetry hub**, absorbed into the world hub at the
-//!   request's admission instant (shifted by it), in admission order —
-//!   the `(SimTime, id)` merge key;
+//! * a **private telemetry hub**, which the home and guest lanes point at
+//!   during the run, absorbed into the world hub at the request's
+//!   admission instant (shifted by it), in admission order — the
+//!   `(SimTime, id)` merge key;
 //! * the request's own fault plan shifted onto the batch-open instant
 //!   (it is request-relative by contract), or the world's ambient plan
 //!   verbatim.
 //!
-//! [`SerialExecutor`] detaches, runs and reattaches one shard at a time,
-//! in canonical order, on the calling thread, so every device sees its
-//! requests in canonical order and the batch's output is a pure function
-//! of the world and the requests.
+//! After the run the world's own context is swapped back, so the clock's
+//! progress and any change to the network environment stay with the
+//! request, and the private hub goes to the scheduler. The devices
+//! themselves — apps, files, record logs, pairings — change in place, as
+//! a lone migration changes them.
+//!
+//! [`SerialExecutor`] runs one request at a time, in canonical order, on
+//! the calling thread, so every device sees its requests in canonical
+//! order and the batch's output is a pure function of the world and the
+//! requests. A request naming a missing device, or one device as both
+//! home and guest, runs the same way; the engine refuses it pre-flight,
+//! before it charges time or draws randomness.
 
 use crate::engine::{self, StageFailure};
 use crate::errors::FluxError;
 use crate::fleet::{FleetOutcome, MigrationRequest};
-use crate::record::RecordStore;
-use crate::world::{Device, DeviceId, FluxWorld};
-use flux_aidl::CompiledInterface;
-use flux_device::DeviceProfile;
-use flux_kernel::Kernel;
-use flux_services::ServiceHost;
-use flux_simcore::{CostModel, FaultPlan, Pid, SimClock, SimDuration, SimRng, SimTime};
+use crate::world::{DeviceId, FluxWorld};
+use flux_net::NetworkEnv;
+use flux_simcore::{FaultPlan, SimClock, SimDuration, SimTime};
 use flux_telemetry::{LaneId, Telemetry};
-use std::collections::BTreeMap;
 use std::fmt;
 
 pub use crate::engine::slices::{Slice, SliceKind};
@@ -62,7 +65,7 @@ pub use crate::engine::slices::{Slice, SliceKind};
 /// The stream label the executor forks the per-batch RNG root from, off
 /// the world's network environment. Public so tests can reproduce a
 /// request's exact stream: `world.net.fork_rng(FLEET_RNG_STREAM)` then
-/// [`SimRng::fork`] with the request id.
+/// [`SimRng::fork`](flux_simcore::SimRng::fork) with the request id.
 pub const FLEET_RNG_STREAM: u64 = 0xf1ee7;
 
 /// The measured shape of one executed migration, ready for the scheduler
@@ -76,8 +79,9 @@ pub struct ExecutedMigration {
     /// The measured wall-clock (virtual) span; always the exact sum of
     /// `schedule` durations.
     pub(crate) wall: SimDuration,
-    /// The shard's telemetry record, timed from batch open; the scheduler
-    /// absorbs it into the world hub shifted to the admission instant.
+    /// The request's private telemetry record, timed from batch open; the
+    /// scheduler absorbs it into the world hub shifted to the admission
+    /// instant.
     pub(crate) telemetry: Telemetry,
 }
 
@@ -119,8 +123,8 @@ pub trait Executor: fmt::Debug + Send + Sync {
     ) -> Vec<ExecutedMigration>;
 }
 
-/// The reference executor: the shard pipeline, one request at a time, on
-/// the calling thread.
+/// The reference executor: one request at a time, in canonical order, on
+/// the calling thread, each under its own context swapped into the world.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 
@@ -146,21 +150,27 @@ pub(crate) fn canonical_order(requests: &[MigrationRequest]) -> Vec<usize> {
     order
 }
 
-/// One detached request: its two-device shard world plus what is needed to
-/// put the main world back together.
-struct Shard {
-    world: FluxWorld,
-    home: DeviceId,
-    guest: DeviceId,
-    home_lane: LaneId,
-    guest_lane: LaneId,
-    /// Pairing previously keyed by main-world device 0 on the guest, if
-    /// the home-id remap displaced it.
-    displaced: Option<crate::world::Pairing>,
+/// The world state one request executes under, in place of the world's
+/// own for the length of its run.
+struct Context {
+    clock: SimClock,
+    net: NetworkEnv,
+    fault_plan: FaultPlan,
+    telemetry: Telemetry,
 }
 
-/// The execute pipeline: in canonical order, each request is detached
-/// into its shard, run and reattached before the next one starts.
+impl Context {
+    /// Exchanges this context with the world's.
+    fn swap(&mut self, world: &mut FluxWorld) {
+        std::mem::swap(&mut self.clock, &mut world.clock);
+        std::mem::swap(&mut self.net, &mut world.net);
+        std::mem::swap(&mut self.fault_plan, &mut world.fault_plan);
+        std::mem::swap(&mut self.telemetry, &mut world.telemetry);
+    }
+}
+
+/// The execute pipeline: in canonical order, each request runs on the
+/// world's devices under its own context before the next one starts.
 fn execute_batch(world: &mut FluxWorld, requests: &[MigrationRequest]) -> Vec<ExecutedMigration> {
     // One draw leaves the world's stream per batch; every request stream
     // derives from the same root, keyed by id, so assignment is
@@ -172,25 +182,23 @@ fn execute_batch(world: &mut FluxWorld, requests: &[MigrationRequest]) -> Vec<Ex
     let mut results: Vec<Option<ExecutedMigration>> = (0..requests.len()).map(|_| None).collect();
     for idx in canonical_order(requests) {
         let req = &requests[idx];
-        let executed = if req.home == req.guest
-            || world.device(req.home).is_err()
-            || world.device(req.guest).is_err()
-        {
-            // No shard can be built; the engine refuses these pre-flight
-            // without consuming time or randomness, so run it against the
-            // main world at its canonical position.
-            execute_direct(world, req)
+        let fault_plan = if req.faults.is_empty() {
+            world.fault_plan.clone()
         } else {
-            let rng = root.clone().fork(req.id);
-            let plan = if req.faults.is_empty() {
-                world.fault_plan.clone()
-            } else {
-                req.faults.shifted_by(batch_offset)
-            };
-            let shard = detach(world, req, rng, plan, start);
-            run_in_shard(world, shard, req, start)
+            req.faults.shifted_by(batch_offset)
         };
-        results[idx] = Some(executed);
+        let telemetry = if world.telemetry.is_enabled() {
+            Telemetry::new()
+        } else {
+            Telemetry::disabled()
+        };
+        let ctx = Context {
+            clock: SimClock::at(start),
+            net: world.net.with_rng(root.clone().fork(req.id)),
+            fault_plan,
+            telemetry,
+        };
+        results[idx] = Some(run_in_place(world, req, ctx, start));
     }
     results
         .into_iter()
@@ -198,115 +206,19 @@ fn execute_batch(world: &mut FluxWorld, requests: &[MigrationRequest]) -> Vec<Ex
         .collect()
 }
 
-/// Moves the request's devices out of `world` into a fresh two-device
-/// shard (home = device 0, guest = device 1) whose clock opens at
-/// `start`, remapping the guest's pairing key and the device telemetry
-/// lanes to shard-local values.
-fn detach(
+/// Runs the engine on the world's own devices with `ctx` swapped in and
+/// the devices' lanes pointed at its private hub, then swaps the world's
+/// context back. The context clock opened at `start`, so the wall time
+/// is the clock's progress past it.
+fn run_in_place(
     world: &mut FluxWorld,
     req: &MigrationRequest,
-    rng: SimRng,
-    plan: FaultPlan,
-    start: SimTime,
-) -> Shard {
-    let mut home_dev = std::mem::replace(&mut world.devices[req.home.0], placeholder_device());
-    let mut guest_dev = std::mem::replace(&mut world.devices[req.guest.0], placeholder_device());
-    let mut telemetry = if world.telemetry.is_enabled() {
-        Telemetry::new()
-    } else {
-        Telemetry::disabled()
-    };
-    let home_lane = home_dev.lane;
-    let guest_lane = guest_dev.lane;
-    home_dev.lane = telemetry.lane(&home_dev.name);
-    guest_dev.lane = telemetry.lane(&guest_dev.name);
-    // Pairings are keyed by the *home device id*; inside the shard the
-    // home is device 0. Preserve whatever the guest already keyed at 0.
-    let displaced = if req.home.0 != 0 {
-        let pairing = guest_dev.pairings.remove(&req.home.0);
-        let displaced = guest_dev.pairings.remove(&0);
-        if let Some(p) = pairing {
-            guest_dev.pairings.insert(0, p);
-        }
-        displaced
-    } else {
-        None
-    };
-    let mut clock = SimClock::new();
-    clock.advance_to(start);
-    let shard = FluxWorld {
-        clock,
-        net: world.net.with_rng(rng),
-        telemetry,
-        policy: world.policy,
-        recording: world.recording,
-        fault_plan: plan,
-        devices: vec![home_dev, guest_dev],
-    };
-    Shard {
-        world: shard,
-        home: req.home,
-        guest: req.guest,
-        home_lane,
-        guest_lane,
-        displaced,
-    }
-}
-
-/// Moves the shard's devices back into the main world, undoing the lane
-/// and pairing-key remaps, and returns the shard's telemetry record.
-fn reattach(world: &mut FluxWorld, shard: Shard) -> Telemetry {
-    let mut shard_world = shard.world;
-    let mut guest_dev = shard_world.devices.pop().expect("shard guest");
-    let mut home_dev = shard_world.devices.pop().expect("shard home");
-    home_dev.lane = shard.home_lane;
-    guest_dev.lane = shard.guest_lane;
-    if shard.home.0 != 0 {
-        if let Some(p) = guest_dev.pairings.remove(&0) {
-            guest_dev.pairings.insert(shard.home.0, p);
-        }
-        if let Some(p) = shard.displaced {
-            guest_dev.pairings.insert(0, p);
-        }
-    }
-    world.devices[shard.home.0] = home_dev;
-    world.devices[shard.guest.0] = guest_dev;
-    shard_world.telemetry
-}
-
-/// Runs the engine inside a detached shard (home = 0, guest = 1), takes
-/// the slice schedule it recorded and reattaches the shard. The shard
-/// clock opened at `start`, so the wall time is the clock's progress past
-/// it.
-fn run_in_shard(
-    world: &mut FluxWorld,
-    mut shard: Shard,
-    req: &MigrationRequest,
+    mut ctx: Context,
     start: SimTime,
 ) -> ExecutedMigration {
-    let (result, schedule) = engine::driver::run(
-        &mut shard.world,
-        DeviceId(0),
-        DeviceId(1),
-        &req.package,
-        &req.cfg,
-        &req.interrupts,
-    );
-    let now = shard.world.clock.now();
-    shard.world.telemetry.finish(now);
-    ExecutedMigration {
-        outcome: classify(result),
-        schedule,
-        wall: now.since(start),
-        telemetry: reattach(world, shard),
-    }
-}
-
-/// Executes a request that cannot be sharded (unknown device, home ==
-/// guest) against the main world. The engine refuses such requests
-/// pre-flight, before consuming virtual time or randomness.
-fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigration {
-    let t0 = world.clock.now();
+    ctx.swap(world);
+    let ends = [req.home, req.guest];
+    let lanes = ends.map(|id| point_lane(world, id));
     let (result, schedule) = engine::driver::run(
         world,
         req.home,
@@ -315,12 +227,30 @@ fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigr
         &req.cfg,
         &req.interrupts,
     );
+    let now = world.clock.now();
+    world.telemetry.finish(now);
+    // Restored in reverse, so a home == guest device ends on the lane it
+    // had before its first remap.
+    for (id, lane) in ends.into_iter().zip(lanes).rev() {
+        if let Some(lane) = lane {
+            world.devices[id.0].lane = lane;
+        }
+    }
+    ctx.swap(world);
     ExecutedMigration {
         outcome: classify(result),
         schedule,
-        wall: world.clock.now().since(t0),
-        telemetry: Telemetry::disabled(),
+        wall: now.since(start),
+        telemetry: ctx.telemetry,
     }
+}
+
+/// Points device `id`'s lane at the same-named lane of the world's hub
+/// and returns the lane it replaced; `None` when there is no such device.
+fn point_lane(world: &mut FluxWorld, id: DeviceId) -> Option<LaneId> {
+    let dev = world.devices.get_mut(id.0)?;
+    let lane = world.telemetry.lane(&dev.name);
+    Some(std::mem::replace(&mut dev.lane, lane))
 }
 
 /// Classifies one engine result.
@@ -347,28 +277,6 @@ fn classify(result: Result<crate::MigrationReport, FluxError>) -> FleetOutcome {
                 FleetOutcome::Refused { error }
             }
         }
-    }
-}
-
-/// The empty interface table of [`placeholder_device`]'s host.
-static NO_INTERFACES: BTreeMap<String, CompiledInterface> = BTreeMap::new();
-
-/// A hollow stand-in occupying a detached device's slot so indices stay
-/// stable while the real device is out in a shard. Never observed: the
-/// shard runs alone and is reattached before the next request starts.
-fn placeholder_device() -> Device {
-    Device {
-        name: String::new(),
-        profile: DeviceProfile::nexus4(),
-        kernel: Kernel::new("0"),
-        host: ServiceHost::new(Pid(0), &NO_INTERFACES),
-        fs: flux_fs::SimFs::new(),
-        apps: BTreeMap::new(),
-        specs: BTreeMap::new(),
-        records: RecordStore::default(),
-        cost: CostModel::reference(),
-        pairings: BTreeMap::new(),
-        lane: LaneId::WORLD,
     }
 }
 

@@ -34,10 +34,11 @@
 //!
 //! The fleet runs on two levels, split behind the [`Executor`] API. An
 //! executor *executes* every request of the batch up front, one at a
-//! time in canonical order, each inside a private two-device *world
-//! shard* with a clock opened at the batch start, a forked RNG stream
-//! keyed by the request id, and a private telemetry hub — see the
-//! [`executor`](crate::executor) module for the shard construction.
+//! time in canonical order, on the world's own devices, each under a
+//! context of its own swapped into the world for the run: a clock opened
+//! at the batch start, a forked RNG stream keyed by the request id, and
+//! a private telemetry hub — see the [`executor`](crate::executor)
+//! module.
 //! Execution yields a stage-level [slice schedule](crate::Slice) per
 //! request: every engine stage the run passed through, cut into CPU
 //! stretches and radio windows as the engine's clock moved.
@@ -49,8 +50,8 @@
 //! associated with at that instant. Tens of thousands of migrations
 //! therefore interleave on one event queue at stage granularity, rather
 //! than as monolithic pre/transfer/post blocks. At admission, the
-//! request's shard telemetry is absorbed into the world hub shifted to the
-//! admission instant, so spans land where the fleet schedule actually
+//! request's private telemetry is absorbed into the world hub shifted to
+//! the admission instant, so spans land where the fleet schedule actually
 //! placed them.
 //!
 //! Per-device exclusivity makes the fleet schedule serialisable, admission
@@ -123,9 +124,9 @@ pub struct MigrationRequest {
     /// Engine configuration (retry policy, pre-copy, pipelining, cache).
     pub cfg: MigrationConfig,
     /// Fault schedule relative to this migration's own start; the
-    /// executor shifts it onto the batch-open instant, where the
-    /// request's shard executes. [`FaultPlan::none`] inherits the world's
-    /// ambient plan instead.
+    /// executor shifts it onto the batch-open instant, where the request
+    /// executes. [`FaultPlan::none`] inherits the world's ambient plan
+    /// instead.
     pub faults: FaultPlan,
     /// Stage-anchored lifecycle interrupts the engine delivers at slice
     /// boundaries inside the running migration (offsets are relative to
@@ -390,8 +391,8 @@ pub struct FleetReport {
 }
 
 /// Serializes the whole report tree — flights, timing, medium and cell
-/// traces — compactly; the throughput bench embeds this verbatim in
-/// `BENCH_throughput.json`.
+/// traces — compactly: the form service snapshots persist and the
+/// service's `REPORT` reply carries.
 impl serde::Serialize for FleetReport {
     fn serialize(&self, out: &mut String) {
         let mut obj = serde::object(out);
@@ -573,7 +574,7 @@ impl FleetScheduler {
             .counter_add("flux.fleet.submitted", requests.len() as u64);
 
         // Execute the whole batch up front: one measured slice schedule per
-        // request, in world shards on private clocks (see `crate::executor`).
+        // request, each run on a private clock (see `crate::executor`).
         let mut execs: Vec<Option<ExecutedMigration>> = self
             .executor
             .execute(world, &requests)
@@ -649,8 +650,8 @@ impl FleetScheduler {
                     telemetry,
                     ..
                 } = exec;
-                // Land the shard's telemetry where the fleet schedule
-                // actually placed the request: shard times run from the
+                // Land the request's private telemetry where the fleet
+                // schedule actually placed it: its times run from the
                 // batch open, so shifting by the queue wait pins the
                 // spans to the admission instant, in admission order.
                 world.telemetry.absorb(telemetry, now.since(start));
@@ -759,7 +760,7 @@ impl FleetScheduler {
         }
 
         let makespan = now.since(start);
-        // Execution happened on private shard clocks; the world clock owes
+        // Execution ran on private request clocks; the world clock owes
         // the fleet schedule's span.
         world.clock.advance_to(start + makespan);
         world

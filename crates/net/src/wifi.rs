@@ -116,15 +116,16 @@ impl NetworkEnv {
         self.rng.fork(stream)
     }
 
-    /// Replaces the environment's jitter stream. Used to build per-request
-    /// shard environments (and, in tests, reference worlds that must draw
-    /// the same jitter a shard would).
+    /// Replaces the environment's jitter stream. The journaled service
+    /// installs each batch's stream this way, and tests hand a lone
+    /// migration the stream the fleet executor would give a request.
     pub fn set_rng(&mut self, rng: SimRng) {
         self.rng = rng;
     }
 
     /// A clone of this environment drawing from `rng` instead of the
-    /// shared stream.
+    /// shared stream: the environment a fleet request executes under,
+    /// which the executor discards once the request has run.
     pub fn with_rng(&self, rng: SimRng) -> Self {
         let mut env = self.clone();
         env.rng = rng;

@@ -401,7 +401,7 @@ impl Telemetry {
     /// applies; its metrics merge by kind (counters add, gauges
     /// last-write-wins, histograms bucket-wise). Absorbing equal hubs
     /// into two hubs in the same order produces byte-identical state,
-    /// which is what lets a fleet run each request in a shard of its own
+    /// which is what lets a fleet record each request into a private hub
     /// and still export the same bytes on every run.
     ///
     /// Spans still open in `other` stay open here (and are *not* pushed on

@@ -12,16 +12,21 @@
 //! must reproduce a direct `migrate` run's report *exactly* (same Debug
 //! rendering, same stage times) once the direct run is handed the same
 //! forked RNG stream the executor assigns request 1, with the fleet
-//! makespan equal to the report's wall total.
+//! makespan equal to the report's wall total. And it pins the
+//! executor's contract with the world it runs in: executing a batch
+//! leaves the world's clock, fault plan, telemetry hub, device lanes and
+//! pairing keys as it found them.
 
 mod common;
 
 use flux_appfw::ActivityState;
 use flux_core::{
-    migrate, FleetConfig, FleetScheduler, MigrationConfig, MigrationRequest, MigrationSpec,
-    OracleSnapshot, RetryPolicy, ScenarioOutcome, FLEET_RNG_STREAM,
+    migrate, pair, DeviceId, Executor, FleetConfig, FleetOutcome, FleetScheduler, MigrationConfig,
+    MigrationRequest, MigrationSpec, OracleSnapshot, RetryPolicy, ScenarioOutcome, SerialExecutor,
+    FLEET_RNG_STREAM,
 };
-use flux_simcore::SimDuration;
+use flux_simcore::{FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
+use flux_telemetry::json_snapshot;
 
 struct Scenario {
     name: &'static str,
@@ -226,4 +231,69 @@ fn single_request_fleet_matches_direct_migrate_exactly() {
     assert_eq!(report.makespan, reference.stages.wall_total());
     assert_eq!(report.makespan, report.serialized_makespan);
     assert_eq!(report.completed, 1);
+}
+
+/// A congestion spike of `magnitude` from `at_ms` for one second.
+fn spike(at_ms: u64, magnitude: f64) -> FaultPlan {
+    FaultPlan::from_events(vec![FaultEvent {
+        at: SimTime::from_millis(at_ms),
+        kind: FaultKind::CongestionSpike,
+        duration: SimDuration::from_secs(1),
+        magnitude,
+    }])
+}
+
+#[test]
+fn serial_executor_leaves_the_world_context_as_it_found_it() {
+    // Guest g00 pairs with two homes: h00 (device 0) and h01 (device 2).
+    let (mut world, pairs) = common::fleet_world(&["WhatsApp", "Twitter"], 5151);
+    let (h0, g0, whatsapp) = pairs[0].clone();
+    let (h1, _, twitter) = pairs[1].clone();
+    pair(&mut world, h1, g0).unwrap();
+    world.fault_plan = spike(1_500, 1.5);
+    let requests = vec![
+        MigrationRequest::new(1, h1, g0, &twitter).with_faults(spike(800, 2.0)),
+        MigrationRequest::new(2, h0, DeviceId(99), &whatsapp),
+        MigrationRequest::new(3, h0, h0, &whatsapp),
+        MigrationRequest::new(4, h0, g0, &whatsapp),
+    ];
+
+    let clock = world.clock.now();
+    let plan = world.fault_plan.clone();
+    let snapshot = json_snapshot(&world.telemetry);
+    let lanes: Vec<_> = world.devices.iter().map(|d| d.lane).collect();
+    let keys = |world: &flux_core::FluxWorld| -> Vec<Vec<usize>> {
+        world
+            .devices
+            .iter()
+            .map(|d| d.pairings.keys().copied().collect())
+            .collect()
+    };
+    let pairing_keys = keys(&world);
+    assert_eq!(pairing_keys[g0.0], vec![h0.0, h1.0]);
+
+    let executed = SerialExecutor.execute(&mut world, &requests);
+    let statuses: Vec<_> = executed
+        .iter()
+        .map(|e| match e.outcome() {
+            FleetOutcome::Completed(_) => "completed",
+            FleetOutcome::RolledBack { .. } => "rolled back",
+            FleetOutcome::Refused { .. } => "refused",
+        })
+        .collect();
+    assert_eq!(statuses, ["completed", "refused", "refused", "completed"]);
+
+    assert_eq!(world.clock.now(), clock, "execution moved the world clock");
+    assert_eq!(
+        world.fault_plan, plan,
+        "execution left a request plan behind"
+    );
+    assert_eq!(
+        json_snapshot(&world.telemetry),
+        snapshot,
+        "execution wrote into the world hub before admission"
+    );
+    let after: Vec<_> = world.devices.iter().map(|d| d.lane).collect();
+    assert_eq!(after, lanes, "a device kept a private lane");
+    assert_eq!(keys(&world), pairing_keys, "a pairing moved to another key");
 }
