@@ -189,29 +189,6 @@ impl FaultPlan {
         }
     }
 
-    /// The same schedule re-expressed relative to `origin`: an event at
-    /// world time `origin + d` lands at `d`; events before `origin` clamp
-    /// to t = 0 (their active window, if any, is already in progress).
-    ///
-    /// The executor uses this to apply a world-absolute ambient plan inside
-    /// a migration shard whose private clock starts at zero, so a request
-    /// sees the same faults whichever executor runs it.
-    pub fn rebased(&self, origin: SimTime) -> Self {
-        let origin = origin.since(SimTime::ZERO);
-        Self {
-            events: self
-                .events
-                .iter()
-                .map(|e| FaultEvent {
-                    at: SimTime::from_nanos(
-                        e.at.since(SimTime::ZERO).saturating_sub(origin).as_nanos(),
-                    ),
-                    ..*e
-                })
-                .collect(),
-        }
-    }
-
     /// All events, ordered by start time.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events

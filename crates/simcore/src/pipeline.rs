@@ -289,15 +289,6 @@ impl<T> Timeline<T> {
         self.next_at().filter(|&at| at < horizon)
     }
 
-    /// Merges every pending event of `other` into this timeline. Events
-    /// keep their `(SimTime, key)` positions, so the merged timeline fires
-    /// them in the same total order a single timeline would have; on an
-    /// exact `(at, key)` collision `other`'s payload wins, mirroring
-    /// [`Timeline::schedule`].
-    pub fn merge(&mut self, other: Timeline<T>) {
-        self.events.extend(other.events);
-    }
-
     /// Whether any event is pending.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
