@@ -101,7 +101,7 @@ use crate::executor::{canonical_order, ExecutedMigration, Executor, SerialExecut
 use crate::migration::{MigrationConfig, MigrationReport, MigrationStage, StageInterrupt};
 use crate::world::{DeviceId, FluxWorld};
 use flux_appfw::LifecycleEvent;
-use flux_net::{CellTrace, MediumSegment, RadioMedium, RadioTopology};
+use flux_net::{CellTrace, RadioMedium, RadioTopology};
 use flux_simcore::{FaultPlan, SimDuration, SimTime, Timeline};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -377,10 +377,9 @@ pub struct FleetReport {
     pub serialized_makespan: SimDuration,
     /// Most migrations simultaneously in flight.
     pub peak_in_flight: usize,
-    /// The default cell's constant-rate allocation trace (the whole
-    /// medium's on a single-cell topology); `cells` carries every cell.
-    pub medium: Vec<MediumSegment>,
-    /// Per-cell traces: each cell's spec plus its allocation segments.
+    /// Per-cell traces: each cell's spec plus its constant-rate
+    /// allocation segments. A single-cell topology has one entry, the
+    /// whole medium's trace.
     pub cells: Vec<CellTrace>,
     /// Requests that completed.
     pub completed: usize,
@@ -390,9 +389,9 @@ pub struct FleetReport {
     pub refused: usize,
 }
 
-/// Serializes the whole report tree — flights, timing, medium and cell
-/// traces — compactly: the form service snapshots persist and the
-/// service's `REPORT` reply carries.
+/// Serializes the whole report tree — flights, timing and cell traces —
+/// compactly: the form service snapshots persist and the service's
+/// `REPORT` reply carries.
 impl serde::Serialize for FleetReport {
     fn serialize(&self, out: &mut String) {
         let mut obj = serde::object(out);
@@ -401,7 +400,6 @@ impl serde::Serialize for FleetReport {
             .field("makespan", &self.makespan)
             .field("serialized_makespan", &self.serialized_makespan)
             .field("peak_in_flight", &self.peak_in_flight)
-            .field("medium", &self.medium)
             .field("cells", &self.cells)
             .field("completed", &self.completed)
             .field("rolled_back", &self.rolled_back)
@@ -420,7 +418,6 @@ impl<'de> serde::Deserialize<'de> for FleetReport {
             makespan: v.read("makespan")?,
             serialized_makespan: v.read("serialized_makespan")?,
             peak_in_flight: v.read("peak_in_flight")?,
-            medium: v.read("medium")?,
             cells: v.read("cells")?,
             completed: v.read("completed")?,
             rolled_back: v.read("rolled_back")?,
@@ -787,8 +784,6 @@ impl FleetScheduler {
             makespan,
             serialized_makespan: serialized,
             peak_in_flight: peak,
-            // The segments share their flow lists with `cells[0]`.
-            medium: cells[0].segments.clone(),
             cells,
             completed,
             rolled_back,

@@ -213,14 +213,14 @@ const PINS: [(&str, usize, u64); 11] = [
     ("migration json_snapshot", 6996, 0xae87_a95e_8b7d_2787),
     ("fleet chrome_trace", 9574, 0xc382_4220_3a45_9a6f),
     ("fleet json_snapshot", 9688, 0x96a2_d40e_80b6_6043),
-    ("fleet report", 1786, 0xb529_0238_8875_60ac),
+    ("fleet report", 1704, 0xd93c_9186_5037_39ca),
     ("contended fleet chrome_trace", 52475, 0xd7c1_dd04_fd7d_2744),
     (
         "contended fleet json_snapshot",
         45671,
         0x1083_64fb_ec32_b666,
     ),
-    ("contended fleet report", 12756, 0xb657_6577_171f_74fc),
+    ("contended fleet report", 11074, 0x6a22_c40b_c90e_d908),
     (
         "shared-guest fleet chrome_trace",
         13358,
@@ -231,7 +231,7 @@ const PINS: [(&str, usize, u64); 11] = [
         12717,
         0xbcc0_1062_df75_e195,
     ),
-    ("shared-guest fleet report", 2635, 0xad04_e6ff_84e8_3b96),
+    ("shared-guest fleet report", 2482, 0x599b_c797_6838_472d),
 ];
 
 fn exports() -> [String; 11] {

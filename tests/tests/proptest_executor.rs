@@ -4,12 +4,14 @@
 //! must parse with the vendored JSON parser and re-render
 //! byte-identically (the parser stores number lexemes verbatim, so this
 //! is exact). Rolled-back and refused flights serialize as tagged error
-//! objects with their reasons.
+//! objects with their reasons, and documents written by earlier builds
+//! still load.
 
 mod common;
 
 use flux_core::{
-    FleetConfig, FleetOutcome, FleetScheduler, MigrationConfig, MigrationRequest, RetryPolicy,
+    FleetConfig, FleetOutcome, FleetReport, FleetScheduler, MigrationConfig, MigrationRequest,
+    RetryPolicy,
 };
 use proptest::prelude::*;
 
@@ -144,4 +146,24 @@ fn outcome_accessors_match_variants() {
     assert!(matches!(outcome, FleetOutcome::RolledBack { .. }));
     assert!(outcome.report().is_none());
     assert!(!outcome.is_completed());
+}
+
+/// Earlier builds wrote a top-level `medium` array into every report, a
+/// copy of the first cell's segments. Service snapshots from those builds
+/// must still recover, so such a document loads, and prints back as the
+/// current report without the copy.
+#[test]
+fn reports_carrying_a_medium_array_still_load() {
+    let (mut world, pairs) = common::fleet_world(&["WhatsApp", "Twitter"], 31337);
+    let report = FleetScheduler::new(FleetConfig::default())
+        .unwrap()
+        .run(&mut world, requests_for(&pairs, None))
+        .unwrap();
+    let json = serde::to_json(&report);
+    assert_eq!(json.matches(",\"cells\":").count(), 1);
+    let segments = serde::to_json(&report.cells[0].segments);
+    let earlier = json.replace(",\"cells\":", &format!(",\"medium\":{segments},\"cells\":"));
+
+    let loaded: FleetReport = serde::from_json(&earlier).expect("earlier report loads");
+    assert_eq!(serde::to_json(&loaded), json);
 }

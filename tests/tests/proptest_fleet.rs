@@ -163,7 +163,7 @@ proptest! {
 
         // (1) Medium conservation: every recorded segment's shares sum to
         // at most the configured capacity.
-        for seg in &report.medium {
+        for seg in &report.cells[0].segments {
             let total: f64 = seg.flows.iter().map(|(_, mbps)| mbps).sum();
             prop_assert!(
                 total <= cfg.medium_capacity_mbps * (1.0 + 1e-9),
@@ -244,7 +244,7 @@ proptest! {
         prop_assert_eq!(format!("{:?}", r1.flights), format!("{:?}", r2.flights));
         prop_assert_eq!(r1.makespan, r2.makespan);
         prop_assert_eq!(r1.serialized_makespan, r2.serialized_makespan);
-        prop_assert_eq!(format!("{:?}", r1.medium), format!("{:?}", r2.medium));
+        prop_assert_eq!(format!("{:?}", r1.cells), format!("{:?}", r2.cells));
         prop_assert_eq!(w1.clock.now(), w2.clock.now());
     }
 
