@@ -33,7 +33,7 @@ pub struct Activity {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// View class, e.g. `"TextView"`.
-    pub class: String,
+    pub class: &'static str,
     /// Whether the view's draw state is valid (invalidated views redraw).
     pub valid: bool,
 }
@@ -62,7 +62,7 @@ impl ViewRoot {
         Self {
             views: (0..count)
                 .map(|i| View {
-                    class: classes[i % classes.len()].to_owned(),
+                    class: classes[i % classes.len()],
                     valid: true,
                 })
                 .collect(),

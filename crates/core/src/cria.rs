@@ -11,6 +11,7 @@ use crate::record::CallLog;
 use flux_device::DeviceProfile;
 use flux_kernel::ProcessImage;
 use flux_simcore::ByteSize;
+use std::sync::Arc;
 
 /// Compression ratio achieved on checkpoint images (mixed dirty heap pages
 /// compress well; calibrated against the paper's ≤14 MB transfers).
@@ -39,8 +40,9 @@ pub struct FluxImage {
     pub package: String,
     /// Name of the home device.
     pub home_device: String,
-    /// Home hardware profile (replay proxies rescale against it).
-    pub home_profile: DeviceProfile,
+    /// Home hardware profile (replay proxies rescale against it), shared
+    /// with the home device.
+    pub home_profile: Arc<DeviceProfile>,
     /// The CRIU process image (includes Binder state).
     pub process: ProcessImage,
     /// The Selective Record log.
@@ -49,22 +51,31 @@ pub struct FluxImage {
     pub reinit: ReinitSpec,
 }
 
-impl FluxImage {
+/// The sizes of a [`FluxImage`] the transfer ledger and the cost model
+/// read, measured together by [`FluxImage::sizes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageSizes {
     /// Uncompressed image bytes (process image + log).
-    pub fn raw_bytes(&self) -> ByteSize {
-        self.process.total_bytes() + ByteSize::from_bytes(self.log.wire_bytes())
-    }
-
+    pub raw: ByteSize,
     /// Bytes actually sent over the air after compression.
-    pub fn compressed_bytes(&self) -> ByteSize {
-        self.process.total_bytes().scale(IMAGE_COMPRESS_RATIO)
-            + ByteSize::from_bytes(self.log.wire_bytes()).scale(LOG_COMPRESS_RATIO)
-    }
-
+    pub compressed: ByteSize,
     /// Compressed size of just the record log (the paper notes log + data
     /// directory deltas never exceeded a combined 200 KB).
-    pub fn compressed_log_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.log.wire_bytes()).scale(LOG_COMPRESS_RATIO)
+    pub compressed_log: ByteSize,
+}
+
+impl FluxImage {
+    /// Measures the image: one counting pass of the process image's
+    /// encoder and one walk of the record log.
+    pub fn sizes(&self) -> ImageSizes {
+        let process = self.process.total_bytes();
+        let log = ByteSize::from_bytes(self.log.wire_bytes());
+        let compressed_log = log.scale(LOG_COMPRESS_RATIO);
+        ImageSizes {
+            raw: process + log,
+            compressed: process.scale(IMAGE_COMPRESS_RATIO) + compressed_log,
+            compressed_log,
+        }
     }
 }
 
@@ -98,7 +109,7 @@ mod tests {
         let image = FluxImage {
             package: "com.x".into(),
             home_device: "home".into(),
-            home_profile: flux_device::DeviceProfile::nexus4(),
+            home_profile: Arc::new(DeviceProfile::nexus4()),
             process,
             log: CallLog::default(),
             reinit: ReinitSpec {
@@ -108,8 +119,10 @@ mod tests {
                 heap: ByteSize::from_mib(24),
             },
         };
-        assert!(image.compressed_bytes() < image.raw_bytes());
-        let ratio = image.compressed_bytes().as_u64() as f64 / image.raw_bytes().as_u64() as f64;
+        let sizes = image.sizes();
+        assert!(sizes.compressed < sizes.raw);
+        assert!(sizes.compressed_log < sizes.compressed);
+        let ratio = sizes.compressed.as_u64() as f64 / sizes.raw.as_u64() as f64;
         assert!((0.4..0.6).contains(&ratio), "ratio {ratio}");
     }
 }

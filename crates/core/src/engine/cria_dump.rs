@@ -7,6 +7,7 @@
 //! cost is deferred into the transfer stage's fused window. Kernel stalls
 //! inside the dump window can trip the watchdog and fault the stage.
 
+use super::ctx::Checkpoint;
 use super::failure::StageFailure;
 use super::{Stage, StageCtx, StageOutcome};
 use crate::cria::{FluxImage, ReinitSpec, IMAGE_COMPRESS_RATIO};
@@ -16,6 +17,7 @@ use crate::record::CallLog;
 use flux_kernel::criu;
 use flux_simcore::{ByteSize, SimDuration};
 use flux_telemetry::LaneId;
+use std::sync::Arc;
 
 /// The checkpoint stage (CRIU dump + compression, home device).
 pub struct CriaDump;
@@ -30,7 +32,7 @@ impl Stage for CriaDump {
     }
 
     fn pending(&self, cx: &StageCtx<'_>) -> bool {
-        cx.prog.image.is_none()
+        cx.prog.checkpoint.is_none()
     }
 
     fn anchor(&self) -> Option<MigrationStage> {
@@ -60,7 +62,7 @@ impl Stage for CriaDump {
             FluxImage {
                 package: package.to_owned(),
                 home_device: cx.mig.home_name.clone(),
-                home_profile: cx.mig.home_profile.clone(),
+                home_profile: Arc::clone(&cx.mig.home_profile),
                 reinit: ReinitSpec {
                     textures: ByteSize::from_mib_f64(cx.mig.spec.textures_mib),
                     gl_contexts: cx.mig.spec.gl_contexts,
@@ -71,15 +73,17 @@ impl Stage for CriaDump {
                 log,
             }
         };
-        let raw = image.raw_bytes();
+        let sizes = image.sizes();
         let objects = image.process.object_count();
         // With pre-copy coverage the frozen dump writes only the pages
         // dirtied since the last streamed pre-dump (plus metadata), and
         // only that residue is compressed and shipped.
-        let ship_raw = match &cx.prog.precopy_base {
-            Some(base) => image.process.dirty_delta(base).total_bytes(),
-            None => raw,
-        };
+        let residue = cx
+            .prog
+            .precopy_base
+            .as_ref()
+            .map(|base| image.process.dirty_delta(base).total_bytes());
+        let ship_raw = residue.unwrap_or(sizes.raw);
         let dump_cost = cx.mig.home_cost.checkpoint_time(ship_raw, objects);
         let compress_cost = cx.mig.home_cost.compress_time(ship_raw);
         // The pipeline defers compression into the transfer stage's fused
@@ -111,15 +115,9 @@ impl Stage for CriaDump {
         if let Some(fail) = fail {
             return Err(fail);
         }
-        if let Some(base) = &cx.prog.precopy_base {
-            cx.prog.image_to_ship = Some(
-                image
-                    .process
-                    .dirty_delta(base)
-                    .total_bytes()
-                    .scale(IMAGE_COMPRESS_RATIO)
-                    + image.compressed_log_bytes(),
-            );
+        if let Some(residue) = residue {
+            cx.prog.image_to_ship =
+                Some(residue.scale(IMAGE_COMPRESS_RATIO) + sizes.compressed_log);
         } else if cx.mig.cfg.image_cache && !cx.prog.cache_checked {
             // No pre-copy ran, so the cache is consulted here, over the
             // full frozen image.
@@ -130,11 +128,14 @@ impl Stage for CriaDump {
             cx.record_cache_counters(&p);
             cx.prog.cache_hit = p.hit_bytes;
             cx.prog.cache_checked = true;
-            cx.prog.image_to_ship = Some(image.compressed_bytes() - p.hit_bytes);
+            cx.prog.image_to_ship = Some(sizes.compressed - p.hit_bytes);
             cx.prog.cache_missed = p.missed;
         }
         cx.prog.compress_pending = deferred;
-        cx.prog.image = Some(image);
+        cx.prog.checkpoint = Some(Checkpoint {
+            image: Arc::new(image),
+            sizes,
+        });
         Ok(StageOutcome::Completed)
     }
 }

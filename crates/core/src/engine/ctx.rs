@@ -3,7 +3,7 @@
 //! them plus the world, fault plan and telemetry into a stage
 //! (`StageCtx`).
 
-use crate::cria::FluxImage;
+use crate::cria::{FluxImage, ImageSizes};
 use crate::image_cache;
 use crate::migration::{
     MigrationConfig, MigrationStage, StageTimes, TransferLedger, KERNEL_STALL_WATCHDOG,
@@ -16,6 +16,7 @@ use flux_net::DEFAULT_CHUNK;
 use flux_simcore::{ByteSize, CostModel, FaultPlan, SimDuration, SimTime, TraceKind};
 use flux_telemetry::{static_name, LaneId};
 use flux_workloads::AppSpec;
+use std::sync::Arc;
 
 use super::failure::StageFailure;
 use super::interrupt::InterruptSource;
@@ -44,8 +45,8 @@ pub(crate) struct MigCtx {
     pub(crate) package: String,
     pub(crate) home_name: String,
     pub(crate) guest_name: String,
-    pub(crate) home_profile: DeviceProfile,
-    pub(crate) guest_profile: DeviceProfile,
+    pub(crate) home_profile: Arc<DeviceProfile>,
+    pub(crate) guest_profile: Arc<DeviceProfile>,
     pub(crate) home_cost: CostModel,
     pub(crate) guest_cost: CostModel,
     pub(crate) spec: AppSpec,
@@ -86,8 +87,8 @@ impl MigCtx {
             package: package.to_owned(),
             home_name: world.device(home)?.name.clone(),
             guest_name: world.device(guest)?.name.clone(),
-            home_profile: world.device(home)?.profile.clone(),
-            guest_profile: world.device(guest)?.profile.clone(),
+            home_profile: Arc::clone(&world.device(home)?.profile),
+            guest_profile: Arc::clone(&world.device(guest)?.profile),
             home_cost: world.device(home)?.cost.clone(),
             guest_cost: world.device(guest)?.cost.clone(),
             spec: world
@@ -106,6 +107,14 @@ impl MigCtx {
     }
 }
 
+/// The frozen image and its sizes, measured once when the checkpoint
+/// stage built it.
+pub(crate) struct Checkpoint {
+    /// Restore and reintegration share this one copy.
+    pub(crate) image: Arc<FluxImage>,
+    pub(crate) sizes: ImageSizes,
+}
+
 /// Mutable progress carried across attempts: completed stages are not
 /// redone, delivered chunks are not re-sent.
 #[derive(Default)]
@@ -121,7 +130,7 @@ pub(crate) struct Progress {
     /// process is simply quiesced again (nothing had shipped).
     pub(crate) prep_quiesced: bool,
     pub(crate) prep_done: bool,
-    pub(crate) image: Option<FluxImage>,
+    pub(crate) checkpoint: Option<Checkpoint>,
     /// Compressed bytes the transfer stage must still ship (set once the
     /// checkpoint exists when pre-copy and/or the cache reduced the
     /// payload; `None` means the full compressed image).
@@ -161,15 +170,17 @@ impl Progress {
     /// The byte ledger as currently known (image fixed at checkpoint, data
     /// delta accumulated across verification syncs).
     pub(crate) fn ledger(&self) -> TransferLedger {
-        let image = self.image.as_ref().expect("ledger needs a checkpoint");
+        let sizes = self
+            .checkpoint
+            .as_ref()
+            .expect("ledger needs a checkpoint")
+            .sizes;
         TransferLedger {
-            image_raw: image.raw_bytes(),
+            image_raw: sizes.raw,
             // Pre-copy and the image cache both shrink the frozen-window
             // ship; `image_to_ship` carries the discounted figure.
-            image_compressed: self
-                .image_to_ship
-                .unwrap_or_else(|| image.compressed_bytes()),
-            log_compressed: image.compressed_log_bytes(),
+            image_compressed: self.image_to_ship.unwrap_or(sizes.compressed),
+            log_compressed: sizes.compressed_log,
             data_delta: self.data_delta,
             precopy_streamed: self.precopy_streamed,
             cache_hit: self.cache_hit,

@@ -19,6 +19,7 @@ use flux_services::svc::connectivity::ConnectivityManagerService;
 use flux_services::{Intent, ACTION_CONNECTIVITY_CHANGE};
 use flux_simcore::SimDuration;
 use flux_telemetry::LaneId;
+use std::sync::Arc;
 
 /// The reintegration stage (Adaptive Replay + connectivity + re-layout).
 pub struct ReplayWarmup;
@@ -42,12 +43,13 @@ impl Stage for ReplayWarmup {
 
     fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
         let package = cx.mig.package.as_str();
-        let image = cx
-            .prog
-            .image
-            .as_ref()
-            .expect("checkpoint completed")
-            .clone();
+        let image = Arc::clone(
+            &cx.prog
+                .checkpoint
+                .as_ref()
+                .expect("checkpoint completed")
+                .image,
+        );
         let replay = replay_log(
             cx.world,
             cx.mig.guest,

@@ -15,6 +15,7 @@ use flux_services::svc::package::PackageManagerService;
 use flux_simcore::SimDuration;
 use flux_telemetry::LaneId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The restore stage (decompress + CRIU undump, guest device).
 pub struct Undump;
@@ -42,12 +43,10 @@ impl Stage for Undump {
 
     fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
         let package = cx.mig.package.as_str();
-        let image = cx
-            .prog
-            .image
-            .as_ref()
-            .expect("checkpoint completed")
-            .clone();
+        let (image, sizes) = {
+            let ckpt = cx.prog.checkpoint.as_ref().expect("checkpoint completed");
+            (Arc::clone(&ckpt.image), ckpt.sizes)
+        };
         let (restored, guest_uid) = {
             let dev = cx.world.device_mut(cx.mig.guest)?;
             let pairing_root = dev
@@ -127,12 +126,11 @@ impl Stage for Undump {
         cx.prog.guest_inserted = true;
         cx.prog.dropped_connections = restored.dropped_connections.clone();
 
-        let raw = image.raw_bytes();
-        let decompress_cost = cx.mig.guest_cost.decompress_time(image.compressed_bytes());
+        let decompress_cost = cx.mig.guest_cost.decompress_time(sizes.compressed);
         let undump_cost = cx
             .mig
             .guest_cost
-            .restore_time(raw, image.process.object_count());
+            .restore_time(sizes.raw, image.process.object_count());
         let cost = decompress_cost + undump_cost;
         let charge_start = cx.world.clock.now();
         let fail = cx.charge_with_stalls(cost, MigrationStage::Restore, cx.mig.guest_lane);

@@ -60,7 +60,7 @@ pub mod replay;
 pub mod world;
 
 pub use builder::WorldBuilder;
-pub use cria::{FluxImage, ReinitSpec, IMAGE_COMPRESS_RATIO, LOG_COMPRESS_RATIO};
+pub use cria::{FluxImage, ImageSizes, ReinitSpec, IMAGE_COMPRESS_RATIO, LOG_COMPRESS_RATIO};
 pub use engine::{broadcast_connectivity, migrate, StageFailure};
 pub use errors::FluxError;
 pub use executor::{

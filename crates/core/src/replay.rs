@@ -17,6 +17,7 @@ use crate::world::{DeviceId, FluxWorld, WorldError};
 use flux_binder::{BinderError, ObjRef, Value};
 use flux_device::DeviceProfile;
 use flux_simcore::SimTime;
+use std::sync::Arc;
 
 /// Statistics from one replay run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -74,7 +75,7 @@ pub fn replay_log(
     home_profile: &DeviceProfile,
 ) -> Result<ReplayStats, FluxError> {
     let mut stats = ReplayStats::default();
-    let guest_profile = world.device(guest)?.profile.clone();
+    let guest_profile = Arc::clone(&world.device(guest)?.profile);
     let guest_lane = world.device(guest)?.lane;
     for entry in log.entries() {
         let span = world.telemetry.enter(

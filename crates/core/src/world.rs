@@ -23,6 +23,7 @@ use flux_telemetry::{LaneId, Telemetry};
 use flux_workloads::{Action, AppSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a device within a [`FluxWorld`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,8 +57,8 @@ pub struct Pairing {
 pub struct Device {
     /// Human-readable name, e.g. `"home-n7"`.
     pub name: String,
-    /// Hardware profile.
-    pub profile: DeviceProfile,
+    /// Hardware profile, fixed at boot; migrations and images share it.
+    pub profile: Arc<DeviceProfile>,
     /// The kernel (processes, Binder, Android drivers).
     pub kernel: Kernel,
     /// The booted system services.
@@ -192,7 +193,7 @@ impl FluxWorld {
         let lane = self.telemetry.lane(name);
         self.devices.push(Device {
             name: name.to_owned(),
-            profile,
+            profile: Arc::new(profile),
             kernel,
             host,
             fs,

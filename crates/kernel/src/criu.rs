@@ -149,9 +149,12 @@ pub struct ProcessImage {
 }
 
 impl ProcessImage {
-    /// Metadata bytes: the encoded image minus page payload.
+    /// Metadata bytes: the encoded image minus page payload, measured by
+    /// running the encoder into a [`WireWriter::counter`].
     pub fn metadata_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.encode().len() as u64)
+        let mut w = WireWriter::counter();
+        self.write(&mut w);
+        ByteSize::from_bytes(w.len() as u64)
     }
 
     /// Page payload bytes (dirty anonymous/stack/ashmem pages).
@@ -246,6 +249,13 @@ impl ProcessImage {
     /// Encodes the image metadata to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
+        self.write(&mut w);
+        w.into_bytes()
+    }
+
+    /// The one write sequence behind both [`encode`](Self::encode) and
+    /// [`metadata_bytes`](Self::metadata_bytes).
+    fn write(&self, w: &mut WireWriter) {
         w.u32(IMAGE_MAGIC);
         w.u32(IMAGE_VERSION);
         w.str(&self.package);
@@ -262,7 +272,7 @@ impl ProcessImage {
 
         w.seq(self.vmas.len());
         for v in &self.vmas {
-            encode_vma_kind(&mut w, &v.kind);
+            encode_vma_kind(w, &v.kind);
             w.u64(v.len.as_u64());
             w.u8(u8::from(v.prot.r) | (u8::from(v.prot.w) << 1) | (u8::from(v.prot.x) << 2));
             w.f64(v.dirty);
@@ -273,11 +283,10 @@ impl ProcessImage {
         w.seq(self.fds.len());
         for f in &self.fds {
             w.u32(f.fd as u32);
-            encode_fd_kind(&mut w, &f.kind);
+            encode_fd_kind(w, &f.kind);
         }
 
-        encode_binder_state(&mut w, &self.binder);
-        w.into_bytes()
+        encode_binder_state(w, &self.binder);
     }
 
     /// Decodes an image from wire bytes.

@@ -25,9 +25,16 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// An append-only byte writer.
+///
+/// A writer made by [`WireWriter::counter`] runs the same write sequence
+/// but only counts the bytes: an encoder written once against
+/// `WireWriter` can then measure its output without building it, and the
+/// measured length cannot disagree with the encoding.
 #[derive(Debug, Default, Clone)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    len: usize,
+    counting: bool,
 }
 
 impl WireWriter {
@@ -36,61 +43,75 @@ impl WireWriter {
         Self::default()
     }
 
-    /// Consumes the writer, returning the bytes.
+    /// Creates a writer that counts the bytes written and stores none.
+    pub fn counter() -> Self {
+        Self {
+            counting: true,
+            ..Self::default()
+        }
+    }
+
+    /// Consumes the writer, returning the bytes (none for a counter).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Whether nothing was written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
+    }
+
+    fn put(&mut self, b: &[u8]) {
+        self.len += b.len();
+        if !self.counting {
+            self.buf.extend_from_slice(b);
+        }
     }
 
     /// Writes a `u8`.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Writes a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes an `i64`, little-endian.
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes an `f64`, little-endian IEEE-754.
     pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a `bool` as one byte.
     pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
+        self.u8(u8::from(v));
     }
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 
     /// Writes length-prefixed raw bytes.
     pub fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
+        self.put(b);
     }
 
     /// Writes a sequence header (`count` items follow).
@@ -230,6 +251,33 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.seq().unwrap(), 5);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn counting_measures_exactly_what_the_buffer_holds() {
+        let write = |w: &mut WireWriter| {
+            w.str("");
+            w.str("flux");
+            w.str("été 📱");
+            w.seq(0);
+            w.seq(3);
+            w.u8(0xFF);
+            w.u32(7);
+            w.u64(u64::MAX);
+            w.i64(-1);
+            w.f64(0.47);
+            w.bool(false);
+            w.bytes(&[]);
+            w.bytes(&[1, 2, 3]);
+        };
+        let mut buffer = WireWriter::new();
+        write(&mut buffer);
+        let mut counter = WireWriter::counter();
+        write(&mut counter);
+        assert_eq!(counter.len(), buffer.len());
+        assert_eq!(counter.len(), buffer.into_bytes().len());
+        assert!(counter.into_bytes().is_empty());
+        assert!(WireWriter::counter().is_empty());
     }
 
     #[test]

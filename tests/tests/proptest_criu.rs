@@ -93,6 +93,19 @@ proptest! {
         );
     }
 
+    /// The image length `metadata_bytes` counts is the length `encode`
+    /// writes, for the frozen image and for the residue pre-copy ships
+    /// against a pre-dump of the same process.
+    #[test]
+    fn counted_length_equals_the_encoding(shape in shape_strategy()) {
+        let (k, app) = build(&shape);
+        let img = criu::checkpoint(&k, app, SimTime::from_secs(1)).unwrap();
+        let pre = criu::predump(&k, app, SimTime::ZERO).unwrap();
+        for image in [&img, &img.dirty_delta(&pre)] {
+            prop_assert_eq!(image.metadata_bytes().as_u64(), image.encode().len() as u64);
+        }
+    }
+
     /// Checkpoint → restore onto a guest kernel preserves the app-visible
     /// state: virtual PID, thread count, VMA byte total, non-INET fds, and
     /// every Binder handle id.
