@@ -7,7 +7,7 @@
 
 use super::failure::StageFailure;
 use super::{Stage, StageCtx, StageOutcome};
-use crate::world::{DeviceId, FluxWorld};
+use crate::world::{DeviceId, FluxWorld, WorldError};
 use flux_kernel::FdKind;
 
 /// The preflight phase: §3.3–3.4 migratability refusals.
@@ -24,10 +24,11 @@ impl Stage for Preflight {
     }
 }
 
-/// Refuses the migration if the app is unmigratable: not paired, not
-/// running, multi-process, EGL-preserving, mid-ContentProvider call, API
-/// incompatible, holding common SD-card files, or bound to non-system
-/// Binder services.
+/// Refuses the migration if it names one device as both home and guest
+/// (as [`pair`](crate::pair) does), or if the app is unmigratable: not
+/// paired, not running, multi-process, EGL-preserving, mid-ContentProvider
+/// call, API incompatible, holding common SD-card files, or bound to
+/// non-system Binder services.
 pub(crate) fn check(
     world: &FluxWorld,
     home: DeviceId,
@@ -36,6 +37,9 @@ pub(crate) fn check(
 ) -> Result<(), StageFailure> {
     let h = world.device(home).map_err(StageFailure::from)?;
     let g = world.device(guest).map_err(StageFailure::from)?;
+    if home == guest {
+        return Err(WorldError::SelfPairing(home.0).into());
+    }
 
     let paired = g
         .pairings

@@ -231,7 +231,7 @@ const PINS: [(&str, usize, u64); 11] = [
         12717,
         0xbcc0_1062_df75_e195,
     ),
-    ("shared-guest fleet report", 2482, 0x599b_c797_6838_472d),
+    ("shared-guest fleet report", 2514, 0xed9d_6e9a_9d5d_ea64),
 ];
 
 fn exports() -> [String; 11] {

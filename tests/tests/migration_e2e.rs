@@ -4,7 +4,7 @@ mod common;
 
 use common::staged_models as staged;
 use flux_binder::Parcel;
-use flux_core::{migrate, pair, FluxError, MigrationSpec, StageFailure, WorldBuilder};
+use flux_core::{migrate, pair, FluxError, MigrationSpec, StageFailure, WorldBuilder, WorldError};
 use flux_device::{DeviceModel, DeviceProfile};
 use flux_services::svc::alarm::AlarmManagerService;
 use flux_services::svc::notification::NotificationManagerService;
@@ -246,6 +246,24 @@ fn migration_refusals_match_section_3_4() {
         ),
         Err(FluxError::Migration(StageFailure::NotPaired))
     ));
+
+    // One device named as both ends: refused with the cause `pair` names,
+    // before any time is charged.
+    let before = world.clock.now();
+    let err = migrate(
+        &mut world,
+        MigrationSpec::new(&app.package).between(home, home),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        FluxError::Migration(WorldError::SelfPairing(home.0).into())
+    );
+    assert_eq!(
+        err.to_string(),
+        "migration failed: device #0 cannot pair with itself"
+    );
+    assert_eq!(world.clock.now(), before);
 }
 
 #[test]
