@@ -86,20 +86,13 @@ proptest! {
         let img = criu::checkpoint(&k, app, SimTime::from_secs(1)).unwrap();
         let decoded = ProcessImage::decode(&img.encode()).unwrap();
         prop_assert_eq!(&decoded, &img);
-        // Size accounting is consistent.
+        // Size accounting is consistent, and the length `metadata_bytes`
+        // counts is the length `encode` writes, for the frozen image and
+        // for the residue pre-copy ships against a pre-dump.
         prop_assert_eq!(
             img.total_bytes(),
             img.metadata_bytes() + img.payload_bytes()
         );
-    }
-
-    /// The image length `metadata_bytes` counts is the length `encode`
-    /// writes, for the frozen image and for the residue pre-copy ships
-    /// against a pre-dump of the same process.
-    #[test]
-    fn counted_length_equals_the_encoding(shape in shape_strategy()) {
-        let (k, app) = build(&shape);
-        let img = criu::checkpoint(&k, app, SimTime::from_secs(1)).unwrap();
         let pre = criu::predump(&k, app, SimTime::ZERO).unwrap();
         for image in [&img, &img.dirty_delta(&pre)] {
             prop_assert_eq!(image.metadata_bytes().as_u64(), image.encode().len() as u64);
