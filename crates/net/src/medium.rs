@@ -29,13 +29,23 @@
 //!
 //! Contended drain progress is integer fixed-point (32 fractional bits of a
 //! nanosecond), with the sub-nanosecond remainder carried per flow across
-//! segments. Completion instants are therefore *chop-invariant*: advancing
-//! the medium through any sequence of intermediate instants drains exactly
-//! as much air as advancing straight to the completion time, and the total
+//! serves. Completion instants are therefore *chop-invariant*: serving a
+//! flow through any sequence of intermediate instants drains exactly as
+//! much air as serving it straight to the completion time, and the total
 //! air served equals the admitted serial air time exactly. (The previous
 //! model ceil-rounded each segment independently, over-draining by up to
 //! 1 ns per segment — at 10k-flow scale completions drifted measurably
 //! early.)
+//!
+//! Chop invariance lets the medium drain lazily. A cell's shares depend
+//! only on its flow set, and serving a flow at a constant multiplier does
+//! not move its completion instant. So a cell serves its flows, in one
+//! step, only just before its set changes (an admit, a harvest, or a roam
+//! into or out of it), carrying each flow's credit across the change, and
+//! keeps its earliest completion until then. [`RadioMedium::advance`]
+//! records one segment per busy cell and touches no flow, and
+//! [`RadioMedium::next_completion`] is a minimum over the cells: an event
+//! costs what it changes, not what is on the air.
 //!
 //! The allocation is an equal-share cap (`min(nominal, capacity / K)`), not
 //! max-min water-filling: slack from a slow flow is *not* redistributed.
@@ -47,7 +57,9 @@
 //!
 //! The scheduler owns event discovery. At each step it advances the medium
 //! to the next interesting instant, harvests finished flows, then admits
-//! new ones:
+//! new ones. It never advances past [`RadioMedium::next_completion`]: a
+//! drained flow must be harvested first, and `advance` panics rather than
+//! record a segment in which a drained flow still holds a share.
 //!
 //! ```
 //! use flux_net::RadioMedium;
@@ -315,49 +327,110 @@ fn drain_time(remaining: SimDuration, m_fix: u64, credit: u64) -> SimDuration {
     if m_fix >= ONE {
         return remaining;
     }
+    // Only a drained flow not yet harvested holds more credit than air
+    // owed (the leftover of its last serve); it needs no more time.
     let need = ((remaining.as_nanos() as u128) << FRAC_BITS).saturating_sub(credit as u128);
     SimDuration::from_nanos(need.div_ceil(m_fix as u128) as u64)
 }
 
 #[derive(Debug, Clone)]
 struct Flow {
-    /// Serial air time still owed, in nanoseconds at multiplier 1.0.
+    /// Serial air time still owed as of its cell's `served_to`, in
+    /// nanoseconds at multiplier 1.0.
     remaining: SimDuration,
     /// The goodput the single-transfer model priced for this payload:
     /// `bytes / serial air time`.
     nominal_mbps: f64,
     /// Sub-nanosecond served-air remainder (2⁻³² ns units), carried across
-    /// segments and across roams.
+    /// serves and across roams.
     credit: u64,
     /// The source device the flow rides on — the roaming key.
     device: u64,
+}
+
+/// What a cell's flow set fixes until the set next changes. Shares depend
+/// only on the set (equal split capped at each flow's nominal rate), and
+/// serving a flow at a constant multiplier never moves its completion
+/// instant, so both hold until the next admit, harvest or roam that
+/// touches the cell.
+#[derive(Debug, Clone)]
+struct Rates {
+    /// `(flow id, share)` in the flow map's (ascending id) order. Every
+    /// segment recorded under this set shares the list.
+    shares: Arc<[(u64, f64)]>,
+    /// The cell's earliest completion, `(instant, id)`.
+    next: (SimTime, u64),
 }
 
 #[derive(Debug, Clone)]
 struct Cell {
     spec: CellSpec,
     flows: BTreeMap<u64, Flow>,
-    /// The share list of the current flow set, built at the first segment
-    /// after the set last changed. Shares depend only on the set (equal
-    /// split capped at each flow's nominal rate), so every segment until
-    /// the next admit, completion or roam records this same list.
-    shares: Option<Arc<[(u64, f64)]>>,
+    /// The instant every flow's `remaining` and `credit` stand at. A cell
+    /// is served only just before its flow set changes.
+    served_to: SimTime,
+    /// The current set's rates, built at first use after the set last
+    /// changed.
+    rates: Option<Rates>,
     segments: Vec<MediumSegment>,
 }
 
 impl Cell {
-    /// The share list for the current flow set, built once per set.
-    fn shares(&mut self) -> Arc<[(u64, f64)]> {
-        if let Some(shares) = &self.shares {
-            return Arc::clone(shares);
+    /// The current flow set's rates. Only a busy cell has rates.
+    fn rates(&mut self) -> &Rates {
+        let (capacity, flows, served_to) = (self.spec.capacity_mbps, &self.flows, self.served_to);
+        self.rates.get_or_insert_with(|| {
+            let fair = capacity / flows.len() as f64;
+            let share = |flow: &Flow| flow.nominal_mbps.min(fair);
+            let next = flows
+                .iter()
+                .map(|(&id, flow)| {
+                    let m = multiplier_fix(share(flow), flow.nominal_mbps);
+                    (served_to + drain_time(flow.remaining, m, flow.credit), id)
+                })
+                .min()
+                .expect("only a busy cell has rates");
+            Rates {
+                shares: flows.iter().map(|(&id, flow)| (id, share(flow))).collect(),
+                next,
+            }
+        })
+    }
+
+    /// Serves every flow from `served_to` up to `now` in one step, however
+    /// many segments that spans: the set, and so every multiplier, held
+    /// throughout, and the fixed-point credit makes the step exact.
+    fn serve_to(&mut self, now: SimTime) {
+        let dt = now.since(self.served_to);
+        if dt > SimDuration::ZERO && !self.flows.is_empty() {
+            let shares = Arc::clone(&self.rates().shares);
+            // `shares` lists the flows in the map's (ascending id) order.
+            debug_assert!(shares
+                .iter()
+                .map(|&(id, _)| id)
+                .eq(self.flows.keys().copied()));
+            for ((&id, flow), &(_, share)) in self.flows.iter_mut().zip(shares.iter()) {
+                let m = multiplier_fix(share, flow.nominal_mbps);
+                let served = serve(dt, m, &mut flow.credit);
+                assert!(
+                    served <= flow.remaining,
+                    "radio medium: flow {id} served {served:?} over [{:?}, {now:?}), \
+                     past its remaining {:?}",
+                    self.served_to,
+                    flow.remaining
+                );
+                flow.remaining =
+                    SimDuration::from_nanos(flow.remaining.as_nanos() - served.as_nanos());
+            }
         }
-        let shares: Arc<[(u64, f64)]> = self
-            .flows
-            .iter()
-            .map(|(&id, flow)| (id, RadioMedium::share_mbps(self, flow)))
-            .collect();
-        self.shares = Some(Arc::clone(&shares));
-        shares
+        self.served_to = now;
+    }
+
+    /// Serves the cell up to `now` and drops its rates: the caller is
+    /// about to change its flow set.
+    fn before_change(&mut self, now: SimTime) {
+        self.serve_to(now);
+        self.rates = None;
     }
 }
 
@@ -401,7 +474,8 @@ impl RadioMedium {
                 .map(|spec| Cell {
                     spec: spec.clone(),
                     flows: BTreeMap::new(),
-                    shares: None,
+                    served_to: now,
+                    rates: None,
                     segments: Vec::new(),
                 })
                 .collect(),
@@ -471,6 +545,7 @@ impl RadioMedium {
         );
         let nominal_mbps = bytes.as_u64() as f64 * 8.0 / serial_air.as_secs_f64() / 1e6;
         let cell = &mut self.cells[cell];
+        cell.before_change(self.now);
         cell.flows.insert(
             id,
             Flow {
@@ -480,13 +555,13 @@ impl RadioMedium {
                 device,
             },
         );
-        cell.shares = None;
     }
 
     /// Re-associates `device` with the named cell and moves its in-flight
     /// flows there, carrying their remaining air time (and sub-nanosecond
     /// credit) exactly. The caller must have advanced the medium to the
-    /// roam instant first.
+    /// roam instant first. Only the cells that lose or gain a flow are
+    /// served.
     ///
     /// # Panics
     ///
@@ -498,12 +573,13 @@ impl RadioMedium {
             .position(|c| c.spec.name == cell)
             .unwrap_or_else(|| panic!("roam: no cell named {cell}"));
         self.association.insert(device, target);
+        let now = self.now;
         let mut moved: Vec<(u64, Flow)> = Vec::new();
         for (idx, c) in self.cells.iter_mut().enumerate() {
-            if idx == target {
+            if idx == target || !c.flows.values().any(|f| f.device == device) {
                 continue;
             }
-            let before = moved.len();
+            c.before_change(now);
             c.flows.retain(|&id, f| {
                 if f.device == device {
                     moved.push((id, f.clone()));
@@ -512,84 +588,67 @@ impl RadioMedium {
                     true
                 }
             });
-            if moved.len() > before {
-                c.shares = None;
-            }
         }
         if !moved.is_empty() {
             let cell = &mut self.cells[target];
+            cell.before_change(now);
             cell.flows.extend(moved);
-            cell.shares = None;
         }
-    }
-
-    /// The share (Mbit/s) a flow is allocated right now: an equal split of
-    /// its cell's capacity, capped at the flow's own nominal rate.
-    fn share_mbps(cell: &Cell, flow: &Flow) -> f64 {
-        let fair = cell.spec.capacity_mbps / cell.flows.len() as f64;
-        flow.nominal_mbps.min(fair)
     }
 
     /// When the next flow (in any cell) completes under the *current*
     /// allocation, with its id — ties resolved to the smallest id. `None`
     /// when idle.
     ///
-    /// Valid until the flow population changes; the scheduler must re-ask
+    /// Each cell keeps its earliest completion until its flow set changes,
+    /// so this is a minimum over the cells. The scheduler must re-ask
     /// after every admit, harvest or roam.
-    pub fn next_completion(&self) -> Option<(SimTime, u64)> {
+    pub fn next_completion(&mut self) -> Option<(SimTime, u64)> {
         self.cells
-            .iter()
-            .flat_map(|cell| {
-                cell.flows.iter().map(move |(&id, flow)| {
-                    let m = multiplier_fix(Self::share_mbps(cell, flow), flow.nominal_mbps);
-                    (self.now + drain_time(flow.remaining, m, flow.credit), id)
-                })
-            })
+            .iter_mut()
+            .filter(|c| !c.flows.is_empty())
+            .map(|c| c.rates().next)
             .min()
     }
 
-    /// Advances the medium to `to`, draining every flow at its current
-    /// multiplier and recording one constant-rate segment per non-idle
-    /// cell.
+    /// Advances the medium to `to`, recording one constant-rate segment
+    /// per non-idle cell. No flow is served here: a cell drains its flows
+    /// only just before its set changes.
     ///
     /// # Panics
     ///
-    /// Panics if `to` is earlier than the medium's current time.
+    /// Panics if `to` is earlier than the medium's current time, or later
+    /// than a pending completion: a drained flow must be harvested before
+    /// the medium moves past it.
     pub fn advance(&mut self, to: SimTime) {
         assert!(to >= self.now, "radio medium time cannot rewind");
-        let dt = to - self.now;
-        if dt > SimDuration::ZERO {
-            for cell in &mut self.cells {
-                if cell.flows.is_empty() {
-                    continue;
-                }
-                let shares = cell.shares();
-                // `shares` lists the flows in the map's (ascending id) order.
-                debug_assert!(shares
-                    .iter()
-                    .map(|&(id, _)| id)
-                    .eq(cell.flows.keys().copied()));
-                for (flow, &(_, share)) in cell.flows.values_mut().zip(shares.iter()) {
-                    let m = multiplier_fix(share, flow.nominal_mbps);
-                    let served = serve(dt, m, &mut flow.credit);
-                    flow.remaining = flow.remaining.saturating_sub(served);
-                }
-                cell.segments.push(MediumSegment {
-                    from: self.now,
-                    to,
-                    flows: shares,
-                });
+        if to > self.now {
+            let from = self.now;
+            for cell in self.cells.iter_mut().filter(|c| !c.flows.is_empty()) {
+                let rates = cell.rates();
+                let (done_at, id) = rates.next;
+                assert!(
+                    to <= done_at,
+                    "radio medium advanced to {to:?}, past flow {id}'s completion at {done_at:?}"
+                );
+                let flows = Arc::clone(&rates.shares);
+                cell.segments.push(MediumSegment { from, to, flows });
             }
         }
         self.now = to;
     }
 
     /// Removes and returns the flows that have fully drained, ascending by
-    /// id across all cells.
+    /// id across all cells. Only a cell whose earliest completion is due
+    /// is served and scanned.
     pub fn take_completed(&mut self) -> Vec<u64> {
+        let now = self.now;
         let mut done: Vec<u64> = Vec::new();
         for cell in &mut self.cells {
-            let before = done.len();
+            if cell.flows.is_empty() || cell.rates().next.0 > now {
+                continue;
+            }
+            cell.before_change(now);
             cell.flows.retain(|&id, f| {
                 let drained = f.remaining == SimDuration::ZERO;
                 if drained {
@@ -597,9 +656,6 @@ impl RadioMedium {
                 }
                 !drained
             });
-            if done.len() > before {
-                cell.shares = None;
-            }
         }
         done.sort_unstable();
         done
@@ -640,6 +696,7 @@ impl RadioMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mib(n: u64) -> ByteSize {
         ByteSize::from_mib(n)
@@ -798,7 +855,7 @@ mod tests {
             let served = serve(dt, m_fix, &mut credit);
             assert!(served <= remaining, "over-drain: {served} > {remaining}");
             served_total += served;
-            remaining = remaining.saturating_sub(served);
+            remaining = SimDuration::from_nanos(remaining.as_nanos() - served.as_nanos());
             chop += 1;
         }
         assert_eq!(served_total, air);
@@ -950,6 +1007,305 @@ mod tests {
         ));
         assert_eq!(serde::to_json(&traces), serde::to_json(&unshared));
         assert_eq!(format!("{traces:?}"), format!("{unshared:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "past flow 1's completion")]
+    fn advancing_past_a_pending_completion_panics() {
+        let mut m = RadioMedium::new(30.0, SimTime::ZERO);
+        m.admit(1, mib(1), SimDuration::from_secs(1));
+        m.advance(SimTime::from_secs(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "past its remaining")]
+    fn serving_past_a_flows_remaining_air_panics() {
+        let mut m = RadioMedium::new(30.0, SimTime::ZERO);
+        m.admit(1, mib(1), SimDuration::from_secs(1));
+        m.cells[0].serve_to(SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn admit_harvest_and_roams_refresh_a_cells_cached_completion() {
+        // Every flow wants exactly 20 Mbit/s of a 20 Mbit/s cell: alone it
+        // drains at multiplier one, two to a cell drain at exactly half.
+        let topo = RadioTopology::new()
+            .cell("east", 20.0, Band::Ghz5)
+            .cell("west", 20.0, Band::Ghz5)
+            .associate(100, "east")
+            .associate(101, "east")
+            .associate(200, "west");
+        let bytes = |air_s: u64| ByteSize::from_bytes(20_000_000 / 8 * air_s);
+        let secs = SimTime::from_secs;
+        let cached = |m: &mut RadioMedium, cell: usize| {
+            let cell = &mut m.cells[cell];
+            (!cell.flows.is_empty()).then(|| cell.rates().next)
+        };
+        let mut m = RadioMedium::with_topology(&topo, SimTime::ZERO);
+        m.admit_from(1, 100, bytes(4), SimDuration::from_secs(4));
+        m.admit_from(3, 200, bytes(10), SimDuration::from_secs(10));
+        assert_eq!(cached(&mut m, 0), Some((secs(4), 1)));
+        assert_eq!(cached(&mut m, 1), Some((secs(10), 3)));
+
+        // Admit: flow 2 halves flow 1's rate and finishes first.
+        m.admit_from(2, 101, bytes(1), SimDuration::from_secs(1));
+        assert!(m.cells[0].rates.is_none());
+        assert_eq!(cached(&mut m, 0), Some((secs(2), 2)));
+
+        // Harvest: flow 1 has 3 s of air left and runs alone again.
+        m.advance(secs(2));
+        assert_eq!(m.take_completed(), vec![2]);
+        assert!(m.cells[0].rates.is_none());
+        assert_eq!(cached(&mut m, 0), Some((secs(5), 1)));
+        assert_eq!(m.next_completion(), Some((secs(5), 1)));
+
+        // Roam in: flow 3 (7 s left) joins flow 1 (2 s left) in east.
+        m.advance(secs(3));
+        m.roam(200, "east");
+        assert!(m.cells[0].rates.is_none());
+        assert_eq!(cached(&mut m, 0), Some((secs(7), 1)));
+        assert_eq!(cached(&mut m, 1), None);
+
+        // Roam out: flow 1 (1 s left) leaves for west; flow 3 (6 s left)
+        // runs alone.
+        m.advance(secs(5));
+        m.roam(100, "west");
+        assert!(m.cells[0].rates.is_none() && m.cells[1].rates.is_none());
+        assert_eq!(cached(&mut m, 0), Some((secs(11), 3)));
+        assert_eq!(cached(&mut m, 1), Some((secs(6), 1)));
+
+        let mut done = Vec::new();
+        while let Some((t, _)) = m.next_completion() {
+            m.advance(t);
+            done.extend(m.take_completed().into_iter().map(|id| (t, id)));
+        }
+        assert_eq!(done, [(secs(6), 1), (secs(11), 3)]);
+    }
+
+    /// The eager drain the lazy medium must reproduce exactly: every
+    /// advance serves every flow of every busy cell, and every query
+    /// recomputes every flow's completion.
+    struct EagerMedium {
+        specs: Vec<CellSpec>,
+        flows: Vec<BTreeMap<u64, Flow>>,
+        segments: Vec<Vec<MediumSegment>>,
+        association: BTreeMap<u64, usize>,
+        now: SimTime,
+    }
+
+    impl EagerMedium {
+        fn new(topology: &RadioTopology, now: SimTime) -> Self {
+            let cells = topology.cells().len();
+            Self {
+                specs: topology.cells().to_vec(),
+                flows: vec![BTreeMap::new(); cells],
+                segments: vec![Vec::new(); cells],
+                association: topology.association().clone(),
+                now,
+            }
+        }
+
+        fn shares(&self, cell: usize) -> Vec<(u64, f64)> {
+            let fair = self.specs[cell].capacity_mbps / self.flows[cell].len() as f64;
+            self.flows[cell]
+                .iter()
+                .map(|(&id, flow)| (id, flow.nominal_mbps.min(fair)))
+                .collect()
+        }
+
+        fn admit_from(&mut self, id: u64, device: u64, bytes: ByteSize, serial_air: SimDuration) {
+            let cell = self.association.get(&device).copied().unwrap_or(0);
+            let nominal_mbps = bytes.as_u64() as f64 * 8.0 / serial_air.as_secs_f64() / 1e6;
+            let flow = Flow {
+                remaining: serial_air,
+                nominal_mbps,
+                credit: 0,
+                device,
+            };
+            self.flows[cell].insert(id, flow);
+        }
+
+        fn roam(&mut self, device: u64, target: usize) {
+            self.association.insert(device, target);
+            for cell in 0..self.flows.len() {
+                if cell == target {
+                    continue;
+                }
+                let ids: Vec<u64> = self.flows[cell]
+                    .iter()
+                    .filter(|(_, f)| f.device == device)
+                    .map(|(&id, _)| id)
+                    .collect();
+                for id in ids {
+                    let flow = self.flows[cell].remove(&id).expect("listed flow");
+                    self.flows[target].insert(id, flow);
+                }
+            }
+        }
+
+        fn next_completion(&self) -> Option<(SimTime, u64)> {
+            (0..self.flows.len())
+                .flat_map(|cell| {
+                    let flows = &self.flows[cell];
+                    flows
+                        .iter()
+                        .zip(self.shares(cell))
+                        .map(|((&id, flow), (_, share))| {
+                            let m = multiplier_fix(share, flow.nominal_mbps);
+                            (self.now + drain_time(flow.remaining, m, flow.credit), id)
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .min()
+        }
+
+        fn advance(&mut self, to: SimTime) {
+            let dt = to.since(self.now);
+            if dt > SimDuration::ZERO {
+                for cell in 0..self.flows.len() {
+                    if self.flows[cell].is_empty() {
+                        continue;
+                    }
+                    let shares = self.shares(cell);
+                    for (flow, &(_, share)) in self.flows[cell].values_mut().zip(&shares) {
+                        let m = multiplier_fix(share, flow.nominal_mbps);
+                        let served = serve(dt, m, &mut flow.credit);
+                        assert!(served <= flow.remaining, "eager over-drain");
+                        flow.remaining =
+                            SimDuration::from_nanos(flow.remaining.as_nanos() - served.as_nanos());
+                    }
+                    self.segments[cell].push(MediumSegment {
+                        from: self.now,
+                        to,
+                        flows: shares.into(),
+                    });
+                }
+            }
+            self.now = to;
+        }
+
+        fn take_completed(&mut self) -> Vec<u64> {
+            let mut done = Vec::new();
+            for flows in &mut self.flows {
+                flows.retain(|&id, f| {
+                    let drained = f.remaining == SimDuration::ZERO;
+                    if drained {
+                        done.push(id);
+                    }
+                    !drained
+                });
+            }
+            done.sort_unstable();
+            done
+        }
+
+        fn into_cell_traces(self) -> Vec<CellTrace> {
+            self.specs
+                .into_iter()
+                .zip(self.segments)
+                .map(|(spec, segments)| CellTrace {
+                    name: spec.name,
+                    capacity_mbps: spec.capacity_mbps,
+                    band: spec.band,
+                    segments,
+                })
+                .collect()
+        }
+    }
+
+    /// One planned medium event: a flow `(device, MiB, serial air)` joins,
+    /// or a device roams to a cell.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Admit(u64, u64, SimDuration),
+        Roam(u64, usize),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lazy_drain_matches_the_eager_reference(
+            caps in prop::collection::vec(50..400u32, 1..4),
+            assoc in prop::collection::vec(0..3usize, 4),
+            ops in prop::collection::vec((0..1_500u64, 0..4u64, 1..48u64, 30..4_000u64, 0..6u32), 1..24),
+            chop in 1..u64::MAX,
+        ) {
+            let mut topology = RadioTopology::new();
+            for (i, &tenths) in caps.iter().enumerate() {
+                topology = topology.cell(&format!("c{i}"), f64::from(tenths) / 10.0, Band::Ghz5);
+            }
+            for (device, &cell) in assoc.iter().enumerate() {
+                topology = topology.associate(device as u64, &format!("c{}", cell % caps.len()));
+            }
+            // Every sixth op (on average) is a roam; the rest admit a flow.
+            let t0 = SimTime::from_millis(3);
+            let mut at = t0;
+            let plan: Vec<(SimTime, u64, Op)> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, &(gap_ms, device, mib, air_ms, kind))| {
+                    at += SimDuration::from_millis(gap_ms);
+                    let op = if kind == 0 {
+                        Op::Roam(device, mib as usize % caps.len())
+                    } else {
+                        Op::Admit(device, mib, SimDuration::from_millis(air_ms))
+                    };
+                    (at, i as u64 + 1, op)
+                })
+                .collect();
+            let admitted = plan.iter().filter(|(_, _, op)| matches!(op, Op::Admit(..))).count();
+
+            let mut lazy = RadioMedium::with_topology(&topology, t0);
+            let mut eager = EagerMedium::new(&topology, t0);
+            let mut done = Vec::new();
+            let mut next = 0;
+            let mut chop = chop;
+            loop {
+                let completion = lazy.next_completion();
+                prop_assert_eq!(completion, eager.next_completion());
+                let target = match (plan.get(next).map(|p| p.0), completion.map(|c| c.0)) {
+                    (Some(p), Some(c)) => p.min(c),
+                    (Some(p), None) => p,
+                    (None, Some(c)) => c,
+                    (None, None) => break,
+                };
+                // Chop each stretch into 1-3 advances: the eager model
+                // serves at every cut, so its credit carries across them.
+                let (start, span) = (lazy.now(), target.since(lazy.now()));
+                chop = chop.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let pieces = 1 + (chop >> 60) % 3;
+                for k in 1..pieces {
+                    let cut = start + SimDuration::from_nanos(span.as_nanos() * k / pieces);
+                    lazy.advance(cut);
+                    eager.advance(cut);
+                }
+                lazy.advance(target);
+                eager.advance(target);
+                let harvested = lazy.take_completed();
+                prop_assert_eq!(&harvested, &eager.take_completed());
+                done.extend(harvested.into_iter().map(|id| (target, id)));
+                while plan.get(next).is_some_and(|p| p.0 == target) {
+                    let (_, id, op) = plan[next];
+                    match op {
+                        Op::Admit(device, mib, air) => {
+                            lazy.admit_from(id, device, ByteSize::from_mib(mib), air);
+                            eager.admit_from(id, device, ByteSize::from_mib(mib), air);
+                        }
+                        Op::Roam(device, cell) => {
+                            lazy.roam(device, &format!("c{cell}"));
+                            eager.roam(device, cell);
+                        }
+                    }
+                    next += 1;
+                }
+            }
+            prop_assert_eq!(done.len(), admitted, "every flow must complete");
+            prop_assert_eq!(
+                serde::to_json(&lazy.into_cell_traces()),
+                serde::to_json(&eager.into_cell_traces())
+            );
+        }
     }
 
     #[test]
