@@ -437,6 +437,56 @@ struct Active {
     outcome: FleetOutcome,
 }
 
+/// Per-device exclusivity for one batch: a device is the source of at most
+/// one flight and the target of at most one flight at a time. Devices are
+/// numbered densely per batch from the ids the requests name, so a check
+/// is two flag reads whatever those ids are (a request may name a missing
+/// device: preflight refuses it, but it still passes through admission).
+struct DeviceClaims {
+    /// `(home, guest)` as dense device indices, per request.
+    slots: Vec<(usize, usize)>,
+    source: Vec<bool>,
+    target: Vec<bool>,
+}
+
+impl DeviceClaims {
+    fn new(requests: &[MigrationRequest]) -> Self {
+        let mut dense: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut index = |device: DeviceId| {
+            let next = dense.len();
+            *dense.entry(device.0).or_insert(next)
+        };
+        let slots: Vec<(usize, usize)> = requests
+            .iter()
+            .map(|req| (index(req.home), index(req.guest)))
+            .collect();
+        Self {
+            slots,
+            source: vec![false; dense.len()],
+            target: vec![false; dense.len()],
+        }
+    }
+
+    /// Claims request `idx`'s home as a source and its guest as a target,
+    /// if both are free.
+    fn try_claim(&mut self, idx: usize) -> bool {
+        let (home, guest) = self.slots[idx];
+        if self.source[home] || self.target[guest] {
+            return false;
+        }
+        self.source[home] = true;
+        self.target[guest] = true;
+        true
+    }
+
+    /// Frees request `idx`'s devices.
+    fn release(&mut self, idx: usize) {
+        let (home, guest) = self.slots[idx];
+        self.source[home] = false;
+        self.target[guest] = false;
+    }
+}
+
 /// Fleet-timeline events. Request events are keyed by the request id;
 /// planned roams are keyed from `u64::MAX` downward so they fire *after*
 /// request events due at the same instant.
@@ -597,8 +647,7 @@ impl FleetScheduler {
             );
         }
         let mut active: BTreeMap<u64, Active> = BTreeMap::new();
-        let mut busy_source: BTreeSet<usize> = BTreeSet::new();
-        let mut busy_target: BTreeSet<usize> = BTreeSet::new();
+        let mut claims = DeviceClaims::new(&requests);
         let mut flights: BTreeMap<u64, FlightRecord> = BTreeMap::new();
         let mut serialized = SimDuration::ZERO;
         let mut peak = 0usize;
@@ -624,19 +673,13 @@ impl FleetScheduler {
                              active: &mut BTreeMap<u64, Active>,
                              medium: &mut RadioMedium,
                              timeline: &mut Timeline<FleetEvent>,
-                             busy_source: &mut BTreeSet<usize>,
-                             busy_target: &mut BTreeSet<usize>,
+                             claims: &mut DeviceClaims,
                              serialized: &mut SimDuration|
              -> bool {
-                let req = &requests[idx];
-                let admissible = active.len() < self.cfg.max_in_flight
-                    && !busy_source.contains(&req.home.0)
-                    && !busy_target.contains(&req.guest.0);
-                if !admissible {
+                if active.len() >= self.cfg.max_in_flight || !claims.try_claim(idx) {
                     return false;
                 }
-                busy_source.insert(req.home.0);
-                busy_target.insert(req.guest.0);
+                let req = &requests[idx];
                 let exec = execs[idx].take().expect("each request admits once");
                 let home_cell_capacity =
                     topology.cells()[medium.cell_of(req.home.0 as u64)].capacity_mbps;
@@ -671,8 +714,7 @@ impl FleetScheduler {
                         &mut active,
                         &mut medium,
                         &mut timeline,
-                        &mut busy_source,
-                        &mut busy_target,
+                        &mut claims,
                         &mut serialized,
                     )
                 });
@@ -685,8 +727,7 @@ impl FleetScheduler {
                         &mut active,
                         &mut medium,
                         &mut timeline,
-                        &mut busy_source,
-                        &mut busy_target,
+                        &mut claims,
                         &mut serialized,
                     ) {
                         parked.push(idx);
@@ -729,8 +770,7 @@ impl FleetScheduler {
                     &mut active,
                     &mut medium,
                     &mut timeline,
-                    &mut busy_source,
-                    &mut busy_target,
+                    &mut claims,
                     &mut flights,
                 );
             }
@@ -746,8 +786,7 @@ impl FleetScheduler {
                             &mut active,
                             &mut medium,
                             &mut timeline,
-                            &mut busy_source,
-                            &mut busy_target,
+                            &mut claims,
                             &mut flights,
                         )
                     }
@@ -831,8 +870,7 @@ fn step_flight(
     active: &mut BTreeMap<u64, Active>,
     medium: &mut RadioMedium,
     timeline: &mut Timeline<FleetEvent>,
-    busy_source: &mut BTreeSet<usize>,
-    busy_target: &mut BTreeSet<usize>,
+    claims: &mut DeviceClaims,
     flights: &mut BTreeMap<u64, FlightRecord>,
 ) -> bool {
     let flight = active.get_mut(&id).expect("completed slice has a flight");
@@ -846,8 +884,7 @@ fn step_flight(
     }
     let flight = active.remove(&id).expect("finished flight is active");
     let req = &requests[flight.idx];
-    busy_source.remove(&req.home.0);
-    busy_target.remove(&req.guest.0);
+    claims.release(flight.idx);
     let record = finish_flight(world, req, flight, submitted_at, now);
     flights.insert(id, record);
     true
