@@ -38,6 +38,29 @@ const CRIU_PART_SPANS: [&str; 8] = [
     "criu.undump.threads",
 ];
 
+/// The fields of the app's [`AppSpec`] the stages read, copied out so a
+/// migration does not clone the name, workload and scripted actions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpecFacts {
+    pub(crate) heap_mib: f64,
+    pub(crate) textures_mib: f64,
+    pub(crate) gl_contexts: u32,
+    pub(crate) views: usize,
+    pub(crate) min_api: u32,
+}
+
+impl SpecFacts {
+    fn of(spec: &AppSpec) -> Self {
+        Self {
+            heap_mib: spec.heap_mib,
+            textures_mib: spec.textures_mib,
+            gl_contexts: spec.gl_contexts,
+            views: spec.views,
+            min_api: spec.min_api,
+        }
+    }
+}
+
 /// Immutable facts about the migration, gathered once up front.
 pub(crate) struct MigCtx {
     pub(crate) home: DeviceId,
@@ -49,7 +72,7 @@ pub(crate) struct MigCtx {
     pub(crate) guest_profile: Arc<DeviceProfile>,
     pub(crate) home_cost: CostModel,
     pub(crate) guest_cost: CostModel,
-    pub(crate) spec: AppSpec,
+    pub(crate) spec: SpecFacts,
     /// Where partially transferred image chunks are staged on the guest.
     pub(crate) staged_path: String,
     /// Where pre-copy-streamed pages accumulate on the guest.
@@ -95,7 +118,7 @@ impl MigCtx {
                 .device(home)?
                 .specs
                 .get(package)
-                .cloned()
+                .map(SpecFacts::of)
                 .ok_or_else(|| StageFailure::NoSuchApp(package.to_owned()))?,
             staged_path: format!("{pairing_root}/.migrate/{package}.image"),
             precopy_path: format!("{pairing_root}/.migrate/{package}.precopy"),

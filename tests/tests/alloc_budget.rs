@@ -7,10 +7,11 @@
 //! reads the checkpoint, the device profiles and the view-class names, so
 //! a rise means a copy of one of them crept back.
 //!
-//! Measured at seed 1234, debug and release alike: 258 allocations and
-//! 73,601 bytes per executed request. Before the image was sized by a
-//! counting pass and shared instead of copied, the same run made 531
-//! allocations and 118,827 bytes per request.
+//! Measured at seed 1234, debug and release alike: 251 allocations and
+//! 73,275 bytes per executed request. The same run made 258 and 73,601
+//! while each migration cloned its app's whole `AppSpec`, and 531 and
+//! 118,827 before the image was sized by a counting pass and shared
+//! instead of copied.
 //!
 //! The counters are thread-local with `const` initialisers, so the other
 //! test threads of the harness never add to them and counting never
