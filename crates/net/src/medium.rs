@@ -398,9 +398,10 @@ impl Cell {
     }
 
     /// Serves every flow from `served_to` up to `now` in one step, however
-    /// many segments that spans: the set, and so every multiplier, held
-    /// throughout, and the fixed-point credit makes the step exact.
-    fn serve_to(&mut self, now: SimTime) {
+    /// many segments that spans (the set, and so every multiplier, held
+    /// throughout, and the fixed-point credit makes the step exact), then
+    /// drops the rates: the caller is about to change the flow set.
+    fn before_change(&mut self, now: SimTime) {
         let dt = now.since(self.served_to);
         if dt > SimDuration::ZERO && !self.flows.is_empty() {
             let shares = Arc::clone(&self.rates().shares);
@@ -424,12 +425,6 @@ impl Cell {
             }
         }
         self.served_to = now;
-    }
-
-    /// Serves the cell up to `now` and drops its rates: the caller is
-    /// about to change its flow set.
-    fn before_change(&mut self, now: SimTime) {
-        self.serve_to(now);
         self.rates = None;
     }
 }
@@ -1022,7 +1017,7 @@ mod tests {
     fn serving_past_a_flows_remaining_air_panics() {
         let mut m = RadioMedium::new(30.0, SimTime::ZERO);
         m.admit(1, mib(1), SimDuration::from_secs(1));
-        m.cells[0].serve_to(SimTime::from_secs(2));
+        m.cells[0].before_change(SimTime::from_secs(2));
     }
 
     #[test]
