@@ -206,9 +206,63 @@ fn shared_guest_fleet() -> (FluxWorld, FleetReport) {
     (world, report)
 }
 
+/// A fleet whose last admitted gauge writer is not the last one executed.
+/// Requests 1 (priority 2) and 2 (priority 1) share a home, and request 3
+/// (priority 0) runs on a pair of its own. They execute in canonical
+/// order, 1, 2, 3. Request 2 waits for the shared home, so they admit
+/// 1, 3, 2. The world keeps the `flux.net.goodput_mbps` that each
+/// request's transfer writes in admission order, so the snapshot holds
+/// request 2's value, not request 3's.
+fn gauge_order_fleet() -> (FluxWorld, FleetReport) {
+    let whatsapp = spec("WhatsApp").expect("app in Table 3");
+    let twitter = spec("Twitter").expect("app in Table 3");
+    let instagram = spec("Instagram").expect("app in Table 3");
+    let (mut world, ids) = WorldBuilder::new()
+        .seed(3131)
+        .device("h", DeviceProfile::nexus4())
+        .device("g1", DeviceProfile::nexus7_2013())
+        .device("g2", DeviceProfile::nexus7_2013())
+        .device("h3", DeviceProfile::nexus4())
+        .device("g3", DeviceProfile::nexus7_2013())
+        .app(0, whatsapp.clone())
+        .app(0, twitter.clone())
+        .app(3, instagram.clone())
+        .build()
+        .unwrap();
+    let [home, g1, g2, h3, g3] = ids[..] else {
+        unreachable!("five devices")
+    };
+    for (device, app) in [(home, &whatsapp), (home, &twitter), (h3, &instagram)] {
+        world
+            .run_script(device, &app.package, &app.actions)
+            .unwrap();
+    }
+    for (h, g) in [(home, g1), (home, g2), (h3, g3)] {
+        pair(&mut world, h, g).unwrap();
+    }
+    let requests = vec![
+        MigrationRequest::new(1, home, g1, &whatsapp.package).with_priority(2),
+        MigrationRequest::new(2, home, g2, &twitter.package).with_priority(1),
+        MigrationRequest::new(3, h3, g3, &instagram.package),
+    ];
+    let report = FleetScheduler::new(FleetConfig::default())
+        .unwrap()
+        .run(&mut world, requests)
+        .unwrap();
+    assert_eq!(report.completed, 3);
+    let admitted: Vec<u64> = {
+        let mut flights: Vec<_> = report.flights.iter().collect();
+        flights.sort_by_key(|f| (f.admitted_at, f.id));
+        flights.iter().map(|f| f.id).collect()
+    };
+    assert_eq!(admitted, [1, 3, 2]);
+    finish(&mut world);
+    (world, report)
+}
+
 /// `(export, byte length, FNV-1a digest)`, in the order [`exports`]
 /// renders them.
-const PINS: [(&str, usize, u64); 11] = [
+const PINS: [(&str, usize, u64); 12] = [
     ("migration chrome_trace", 6743, 0xdea8_fbd0_eed8_9d43),
     ("migration json_snapshot", 6996, 0xae87_a95e_8b7d_2787),
     ("fleet chrome_trace", 9574, 0xc382_4220_3a45_9a6f),
@@ -232,13 +286,19 @@ const PINS: [(&str, usize, u64); 11] = [
         0xbcc0_1062_df75_e195,
     ),
     ("shared-guest fleet report", 2514, 0xed9d_6e9a_9d5d_ea64),
+    (
+        "gauge-order fleet json_snapshot",
+        18367,
+        0xc20d_265c_52d8_2667,
+    ),
 ];
 
-fn exports() -> [String; 11] {
+fn exports() -> [String; 12] {
     let migration = faulted_migration();
     let (fleet, report) = small_fleet();
     let (contended, contended_report) = contended_fleet();
     let (shared, shared_report) = shared_guest_fleet();
+    let (gauge_order, _) = gauge_order_fleet();
     [
         chrome_trace(&migration.telemetry),
         json_snapshot(&migration.telemetry),
@@ -251,6 +311,7 @@ fn exports() -> [String; 11] {
         chrome_trace(&shared.telemetry),
         json_snapshot(&shared.telemetry),
         serde::to_json(&shared_report),
+        json_snapshot(&gauge_order.telemetry),
     ]
 }
 
