@@ -30,19 +30,24 @@
 //!   per batch (never per request), and each request's stream is derived
 //!   from that draw and its id — so streams are independent of batch
 //!   order and batch size;
-//! * a **private telemetry hub**, which the home and guest lanes point at
-//!   during the run, absorbed into the world hub at the request's
-//!   admission instant (shifted by it), in admission order — the
-//!   `(SimTime, id)` merge key;
+//! * the **batch hub**: the whole batch records into one telemetry hub
+//!   ([`Telemetry::batch`]), which the home and guest lanes point at
+//!   during the run. Each run ends by cutting its [`Part`] off the hub:
+//!   its spans, instants, gauge writes and lanes. The scheduler moves the
+//!   part into the world hub at the request's admission, shifted by its
+//!   queue wait, in admission order — the `(SimTime, id)` merge key —
+//!   and merges the batch's counters and histograms once the batch
+//!   drains (see [`flux_telemetry::batch`]);
 //! * the request's own fault plan shifted onto the batch-open instant
 //!   (it is request-relative by contract), or the world's ambient plan
 //!   verbatim.
 //!
 //! After the run the world's own context is swapped back, so the clock's
 //! progress and any change to the network environment stay with the
-//! request, and the private hub goes to the scheduler. The devices
-//! themselves — apps, files, record logs, pairings — change in place, as
-//! a lone migration changes them.
+//! request, and the batch hub waits for the next run. Every
+//! [`ExecutedMigration`] of the batch shares the hub and names its own
+//! part of it. The devices themselves — apps, files, record logs,
+//! pairings — change in place, as a lone migration changes them.
 //!
 //! [`SerialExecutor`] runs one request at a time, in canonical order, on
 //! the calling thread, so every device sees its requests in canonical
@@ -57,8 +62,9 @@ use crate::fleet::{FleetOutcome, MigrationRequest};
 use crate::world::{DeviceId, FluxWorld};
 use flux_net::NetworkEnv;
 use flux_simcore::{FaultPlan, SimClock, SimDuration, SimTime};
-use flux_telemetry::{LaneId, Telemetry};
+use flux_telemetry::{LaneId, Part, Telemetry};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 pub use crate::engine::slices::{Slice, SliceKind};
 
@@ -79,10 +85,12 @@ pub struct ExecutedMigration {
     /// The measured wall-clock (virtual) span; always the exact sum of
     /// `schedule` durations.
     pub(crate) wall: SimDuration,
-    /// The request's private telemetry record, timed from batch open; the
-    /// scheduler absorbs it into the world hub shifted to the admission
-    /// instant.
-    pub(crate) telemetry: Telemetry,
+    /// The hub the whole batch recorded into, shared by every request of
+    /// the batch.
+    pub(crate) batch: Arc<Mutex<Telemetry>>,
+    /// The request's part of `batch`, timed from batch open; the scheduler
+    /// moves it into the world hub shifted to the admission instant.
+    pub(crate) part: Part,
 }
 
 impl ExecutedMigration {
@@ -108,8 +116,9 @@ impl ExecutedMigration {
 ///
 /// Implementations must be deterministic functions of `(world, requests)`
 /// — two identically-seeded worlds given the same batch must produce
-/// byte-identical shapes, telemetry included. `requests` are
-/// pre-validated by the scheduler (unique ids).
+/// byte-identical shapes, telemetry included — and every shape of one
+/// call must share one batch hub. `requests` are pre-validated by the
+/// scheduler (unique ids).
 pub trait Executor: fmt::Debug + Send + Sync {
     /// Short human-readable name for reports and bench output.
     fn name(&self) -> &'static str;
@@ -152,22 +161,26 @@ pub(crate) fn canonical_order(requests: &[MigrationRequest]) -> Vec<usize> {
 
 /// The world state one request executes under, in place of the world's
 /// own for the length of its run.
-struct Context {
+struct Context<'a> {
     clock: SimClock,
     net: NetworkEnv,
     fault_plan: FaultPlan,
-    telemetry: Telemetry,
+    /// The batch hub, which every request of the batch records into.
+    telemetry: &'a mut Telemetry,
 }
 
-impl Context {
+impl Context<'_> {
     /// Exchanges this context with the world's.
     fn swap(&mut self, world: &mut FluxWorld) {
         std::mem::swap(&mut self.clock, &mut world.clock);
         std::mem::swap(&mut self.net, &mut world.net);
         std::mem::swap(&mut self.fault_plan, &mut world.fault_plan);
-        std::mem::swap(&mut self.telemetry, &mut world.telemetry);
+        std::mem::swap(self.telemetry, &mut world.telemetry);
     }
 }
+
+/// One executed request before its batch hub is shared.
+type Run = (FleetOutcome, Vec<Slice>, SimDuration, Part);
 
 /// The execute pipeline: in canonical order, each request runs on the
 /// world's devices under its own context before the next one starts.
@@ -178,8 +191,9 @@ fn execute_batch(world: &mut FluxWorld, requests: &[MigrationRequest]) -> Vec<Ex
     let root = world.net.fork_rng(FLEET_RNG_STREAM);
     let start = world.clock.now();
     let batch_offset = start.since(SimTime::ZERO);
+    let mut batch = world.telemetry.batch();
 
-    let mut results: Vec<Option<ExecutedMigration>> = (0..requests.len()).map(|_| None).collect();
+    let mut runs: Vec<Option<Run>> = (0..requests.len()).map(|_| None).collect();
     for idx in canonical_order(requests) {
         let req = &requests[idx];
         let fault_plan = if req.faults.is_empty() {
@@ -187,35 +201,39 @@ fn execute_batch(world: &mut FluxWorld, requests: &[MigrationRequest]) -> Vec<Ex
         } else {
             req.faults.shifted_by(batch_offset)
         };
-        let telemetry = if world.telemetry.is_enabled() {
-            Telemetry::new()
-        } else {
-            Telemetry::disabled()
-        };
         let ctx = Context {
             clock: SimClock::at(start),
             net: world.net.with_rng(root.clone().fork(req.id)),
             fault_plan,
-            telemetry,
+            telemetry: &mut batch,
         };
-        results[idx] = Some(run_in_place(world, req, ctx, start));
+        runs[idx] = Some(run_in_place(world, req, ctx, start));
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("every request executed"))
+    let batch = Arc::new(Mutex::new(batch));
+    runs.into_iter()
+        .map(|run| {
+            let (outcome, schedule, wall, part) = run.expect("every request executed");
+            ExecutedMigration {
+                outcome,
+                schedule,
+                wall,
+                batch: Arc::clone(&batch),
+                part,
+            }
+        })
         .collect()
 }
 
 /// Runs the engine on the world's own devices with `ctx` swapped in and
-/// the devices' lanes pointed at its private hub, then swaps the world's
-/// context back. The context clock opened at `start`, so the wall time
-/// is the clock's progress past it.
+/// the devices' lanes pointed at the batch hub, then cuts the run's part
+/// off the hub and swaps the world's context back. The context clock
+/// opened at `start`, so the wall time is the clock's progress past it.
 fn run_in_place(
     world: &mut FluxWorld,
     req: &MigrationRequest,
     mut ctx: Context,
     start: SimTime,
-) -> ExecutedMigration {
+) -> Run {
     ctx.swap(world);
     let ends = [req.home, req.guest];
     let lanes = ends.map(|id| point_lane(world, id));
@@ -228,7 +246,7 @@ fn run_in_place(
         &req.interrupts,
     );
     let now = world.clock.now();
-    world.telemetry.finish(now);
+    let part = world.telemetry.end_part(now);
     // Restored in reverse, so a home == guest device ends on the lane it
     // had before its first remap.
     for (id, lane) in ends.into_iter().zip(lanes).rev() {
@@ -237,16 +255,12 @@ fn run_in_place(
         }
     }
     ctx.swap(world);
-    ExecutedMigration {
-        outcome: classify(result),
-        schedule,
-        wall: now.since(start),
-        telemetry: ctx.telemetry,
-    }
+    (classify(result), schedule, now.since(start), part)
 }
 
-/// Points device `id`'s lane at the same-named lane of the world's hub
-/// and returns the lane it replaced; `None` when there is no such device.
+/// Points device `id`'s lane at the same-named lane of the world's hub,
+/// which notes it as one of the run's lanes, and returns the lane it
+/// replaced; `None` when there is no such device.
 fn point_lane(world: &mut FluxWorld, id: DeviceId) -> Option<LaneId> {
     let dev = world.devices.get_mut(id.0)?;
     let lane = world.telemetry.lane(&dev.name);

@@ -36,9 +36,9 @@
 //! executor *executes* every request of the batch up front, one at a
 //! time in canonical order, on the world's own devices, each under a
 //! context of its own swapped into the world for the run: a clock opened
-//! at the batch start, a forked RNG stream keyed by the request id, and
-//! a private telemetry hub — see the [`executor`](crate::executor)
-//! module.
+//! at the batch start and a forked RNG stream keyed by the request id,
+//! while the whole batch records into one telemetry hub — see the
+//! [`executor`](crate::executor) module.
 //! Execution yields a stage-level [slice schedule](crate::Slice) per
 //! request: every engine stage the run passed through, cut into CPU
 //! stretches and radio windows as the engine's clock moved.
@@ -50,9 +50,11 @@
 //! associated with at that instant. Tens of thousands of migrations
 //! therefore interleave on one event queue at stage granularity, rather
 //! than as monolithic pre/transfer/post blocks. At admission, the
-//! request's private telemetry is absorbed into the world hub shifted to
+//! request's part of the batch hub moves into the world hub shifted to
 //! the admission instant, so spans land where the fleet schedule actually
-//! placed them.
+//! placed them, and its gauge writes apply in admission order. The
+//! batch's counters and histograms, which no order changes, merge into
+//! the world hub once the batch drains.
 //!
 //! Per-device exclusivity makes the fleet schedule serialisable, admission
 //! order is a pure function of (priority, request id) and completion
@@ -103,8 +105,9 @@ use crate::world::{DeviceId, FluxWorld};
 use flux_appfw::LifecycleEvent;
 use flux_net::{CellTrace, RadioMedium, RadioTopology};
 use flux_simcore::{FaultPlan, SimDuration, SimTime, Timeline};
+use flux_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One migration the fleet should perform.
 #[derive(Debug, Clone)]
@@ -629,6 +632,12 @@ impl FleetScheduler {
             .map(Some)
             .collect();
         debug_assert_eq!(execs.len(), requests.len());
+        // The batch recorded into one hub; each admission moves its
+        // request's part of it into the world hub.
+        let batch = execs
+            .first()
+            .and_then(Option::as_ref)
+            .map(|exec| Arc::clone(&exec.batch));
 
         // Admission follows the executor's canonical order, independent of
         // the order `requests` arrived in.
@@ -687,14 +696,21 @@ impl FleetScheduler {
                 let ExecutedMigration {
                     outcome,
                     schedule,
-                    telemetry,
+                    batch: hub,
+                    part,
                     ..
                 } = exec;
-                // Land the request's private telemetry where the fleet
-                // schedule actually placed it: its times run from the
-                // batch open, so shifting by the queue wait pins the
-                // spans to the admission instant, in admission order.
-                world.telemetry.absorb(telemetry, now.since(start));
+                assert!(
+                    batch.as_ref().is_some_and(|batch| Arc::ptr_eq(batch, &hub)),
+                    "every request of a batch records into one hub"
+                );
+                // Land the request's part where the fleet schedule
+                // actually placed it: its times run from the batch open,
+                // so shifting by the queue wait pins the spans to the
+                // admission instant, in admission order.
+                world
+                    .telemetry
+                    .admit_part(&mut lock(&hub), part, now.since(start));
                 world.telemetry.counter_add("flux.fleet.admitted", 1);
                 let mut flight = Active {
                     idx,
@@ -795,6 +811,9 @@ impl FleetScheduler {
             }
         }
 
+        if let Some(batch) = batch {
+            world.telemetry.merge_batch(&mut lock(&batch));
+        }
         let makespan = now.since(start);
         // Execution ran on private request clocks; the world clock owes
         // the fleet schedule's span.
@@ -829,6 +848,11 @@ impl FleetScheduler {
             refused,
         })
     }
+}
+
+/// Locks a batch hub. Only the scheduler's own thread ever holds it.
+fn lock(batch: &Mutex<Telemetry>) -> std::sync::MutexGuard<'_, Telemetry> {
+    batch.lock().expect("batch hub lock poisoned")
 }
 
 /// Arms the flight's cursor slice: a CPU slice becomes a timeline event at

@@ -10,6 +10,10 @@
 //!   are `Cow<'static, str>`, so recording under a name known at compile
 //!   time allocates nothing, and an event's [`Detail`] keeps a radio
 //!   chunk's numbers until an exporter writes them.
+//! * [`batch`] — a *batch hub* that records many runs one after another,
+//!   each cut off as a [`Part`] that moves into a world hub later,
+//!   shifted in time: how a fleet records its requests up front and lands
+//!   each one at its admission.
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms
 //!   under the `flux.<crate>.<name>` naming scheme, held in a `BTreeMap`
 //!   so snapshot iteration order — and therefore exporter output — is
@@ -47,9 +51,11 @@
 //! assert_eq!(tele.metrics().counter("flux.migration.completed"), 1);
 //! ```
 
+pub mod batch;
 pub mod export;
 pub mod metrics;
 
+pub use batch::Part;
 pub use export::{
     chrome_trace, json_snapshot, stage_metric_name, stage_span_name, static_name, MigrationProfile,
     REPORT_STAGES, STAGE_SPAN_PREFIX,
@@ -195,7 +201,9 @@ impl From<&str> for Detail {
     }
 }
 
-/// The per-world telemetry hub. See the [crate docs](self).
+/// The per-world telemetry hub. See the [crate docs](self); a batch hub
+/// ([`Telemetry::batch`]) records like any other, except as the [`batch`]
+/// module says.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     enabled: bool,
@@ -211,6 +219,8 @@ pub struct Telemetry {
     /// Instant events discarded because the cap was reached.
     dropped_events: u64,
     metrics: MetricsRegistry,
+    /// What a batch hub records beyond a world hub; `None` on a world hub.
+    batch: Option<batch::BatchLog>,
 }
 
 impl Default for Telemetry {
@@ -232,6 +242,7 @@ impl Telemetry {
             event_capacity: None,
             dropped_events: 0,
             metrics: MetricsRegistry::new(),
+            batch: None,
         }
     }
 
@@ -265,15 +276,22 @@ impl Telemetry {
     // ---- lanes ----------------------------------------------------------
 
     /// Interns a lane by name, returning its id. Registering the same name
-    /// twice returns the same lane.
+    /// twice returns the same lane. A batch hub also notes the lane as one
+    /// of the current run's (see [`batch`]).
     pub fn lane(&mut self, name: &str) -> LaneId {
-        if let Some(&id) = self.lane_index.get(name) {
-            return id;
+        let id = match self.lane_index.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = LaneId::at(self.lanes.len());
+                self.lanes.push(name.to_owned());
+                self.lane_index.insert(name.to_owned(), id);
+                self.open.push(Vec::new());
+                id
+            }
+        };
+        if let Some(batch) = &mut self.batch {
+            batch.note_lane(id);
         }
-        let id = LaneId::at(self.lanes.len());
-        self.lanes.push(name.to_owned());
-        self.lane_index.insert(name.to_owned(), id);
-        self.open.push(Vec::new());
         id
     }
 
@@ -282,10 +300,25 @@ impl Telemetry {
         &self.lanes
     }
 
+    /// The position of `lane` in [`Telemetry::lanes`]. Panics, printing
+    /// the lane and the lane count, when the hub has no such lane, rather
+    /// than record onto another one.
+    fn lane_ix(&self, lane: LaneId) -> usize {
+        let ix = lane.0 as usize;
+        assert!(
+            ix < self.lanes.len(),
+            "lane {} is not registered: the hub has {} lanes",
+            lane.0,
+            self.lanes.len()
+        );
+        ix
+    }
+
     // ---- spans ----------------------------------------------------------
 
     /// Opens a span on `lane` at virtual time `at`. The parent is the
-    /// innermost span still open on the same lane.
+    /// innermost span still open on the same lane. Panics when the hub
+    /// has no such lane.
     pub fn enter(
         &mut self,
         lane: LaneId,
@@ -295,12 +328,12 @@ impl Telemetry {
         if !self.enabled {
             return SpanId::NONE;
         }
-        let lane_ix = (lane.0 as usize).min(self.open.len() - 1);
+        let lane_ix = self.lane_ix(lane);
         let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
         let id = self.spans.len() as u32;
         self.spans.push(Span {
             name: name.into(),
-            lane: LaneId::at(lane_ix),
+            lane,
             parent,
             start: at,
             end: None,
@@ -338,6 +371,7 @@ impl Telemetry {
     /// under the lane's innermost open span without touching the stack.
     /// Used to attribute a lump-charged cost window after the fact (e.g.
     /// splitting a CRIU checkpoint charge into per-driver sub-spans).
+    /// Panics when the hub has no such lane.
     pub fn record_complete(
         &mut self,
         lane: LaneId,
@@ -348,11 +382,11 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let lane_ix = (lane.0 as usize).min(self.open.len() - 1);
+        let lane_ix = self.lane_ix(lane);
         let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
         self.spans.push(Span {
             name: name.into(),
-            lane: LaneId::at(lane_ix),
+            lane,
             parent,
             start,
             end: Some(end),
@@ -362,11 +396,12 @@ impl Telemetry {
     /// Closes every span still open on `lane`, at virtual time `at`.
     /// Error paths use this to settle a device lane whose stage spans were
     /// abandoned by an early return before continuing on another lane.
+    /// Panics when the hub has no such lane.
     pub fn finish_lane(&mut self, lane: LaneId, at: SimTime) {
         if !self.enabled {
             return;
         }
-        let lane_ix = (lane.0 as usize).min(self.open.len() - 1);
+        let lane_ix = self.lane_ix(lane);
         while let Some(top) = self.open[lane_ix].pop() {
             if self.spans[top as usize].end.is_none() {
                 self.spans[top as usize].end = Some(at);
@@ -389,50 +424,6 @@ impl Telemetry {
         }
     }
 
-    /// Folds another hub's record into this one, displacing every
-    /// timestamp `shift` later. `other` is consumed: its names and
-    /// details move here rather than being copied.
-    ///
-    /// `other`'s lanes are matched **by name** (and interned here when
-    /// missing — `other`'s world lane merges into this world lane); its
-    /// spans are appended in creation order with parent links remapped, so
-    /// the span *tree* arrives intact; its instant events are re-emitted
-    /// through [`Telemetry::instant`], so this hub's event capacity
-    /// applies; its metrics merge by kind (counters add, gauges
-    /// last-write-wins, histograms bucket-wise). Absorbing equal hubs
-    /// into two hubs in the same order produces byte-identical state,
-    /// which is what lets a fleet record each request into a private hub
-    /// and still export the same bytes on every run.
-    ///
-    /// Spans still open in `other` stay open here (and are *not* pushed on
-    /// any open-stack, so [`Telemetry::finish`] will not close them);
-    /// callers should finish the absorbed hub first. No-op when this hub
-    /// is disabled.
-    pub fn absorb(&mut self, other: Telemetry, shift: SimDuration) {
-        if !self.enabled {
-            return;
-        }
-        let lane_map: Vec<LaneId> = other.lanes.iter().map(|n| self.lane(n)).collect();
-        let base = self.spans.len() as u32;
-        self.spans.extend(other.spans.into_iter().map(|span| Span {
-            name: span.name,
-            lane: lane_map[span.lane.0 as usize],
-            parent: span.parent.map(|p| SpanId(base + p.0)),
-            start: span.start + shift,
-            end: span.end.map(|e| e + shift),
-        }));
-        for ev in other.instants {
-            self.instant(
-                lane_map[ev.lane.0 as usize],
-                ev.kind,
-                ev.name,
-                ev.at + shift,
-                ev.detail,
-            );
-        }
-        self.metrics.merge_from(other.metrics);
-    }
-
     /// All spans recorded so far, in creation order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -450,7 +441,7 @@ impl Telemetry {
     // ---- events ---------------------------------------------------------
 
     /// Records a lane-attributed instant event. Subject to the event
-    /// capacity.
+    /// capacity. Panics when the hub has no such lane, even past the cap.
     pub fn instant(
         &mut self,
         lane: LaneId,
@@ -462,6 +453,7 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
+        self.lane_ix(lane);
         if self
             .event_capacity
             .is_some_and(|cap| self.instants.len() >= cap)
@@ -471,7 +463,7 @@ impl Telemetry {
         }
         self.instants.push(InstantEvent {
             at,
-            lane: LaneId::at((lane.0 as usize).min(self.lanes.len() - 1)),
+            lane,
             kind,
             name: name.into(),
             detail: detail.into(),
@@ -525,17 +517,29 @@ impl Telemetry {
     }
 
     /// Sets the counter `name` to an absolute value (idempotent harvest;
-    /// see [`MetricsRegistry::counter_set`]). No-op when disabled.
+    /// see [`MetricsRegistry::counter_set`]). No-op when disabled. Panics
+    /// on a batch hub, whose counters sum every run's: a set there would
+    /// overwrite the other runs' counts.
     pub fn counter_set(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
+        assert!(
+            self.batch.is_none(),
+            "counter_set on a batch hub would overwrite its other runs' counts"
+        );
         if self.enabled {
             self.metrics.counter_set(name, value);
         }
     }
 
-    /// Sets the gauge `name` to `value`. No-op when disabled.
+    /// Sets the gauge `name` to `value`. No-op when disabled. A batch hub
+    /// logs the write instead, so each run's writes reach the world hub
+    /// when its part is admitted (see [`batch`]).
     pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
-        if self.enabled {
-            self.metrics.gauge_set(name, value);
+        if !self.enabled {
+            return;
+        }
+        match &mut self.batch {
+            Some(batch) => batch.note_gauge(name.into(), value),
+            None => self.metrics.gauge_set(name, value),
         }
     }
 
@@ -689,68 +693,31 @@ mod tests {
     }
 
     #[test]
-    fn absorb_moves_records_under_the_merge_contract() {
-        let mut world = Telemetry::new();
-        let phone = world.lane("phone");
-        let before = world.enter(phone, "before", t(0));
-        world.exit(before, t(1));
-        world.emit(t(0), "first", "kept");
-        world.set_event_capacity(2);
-        world.counter_add("flux.c", 1);
-        world.observe("flux.h", 5);
+    #[should_panic(expected = "lane 2 is not registered: the hub has 2 lanes")]
+    fn enter_refuses_an_unknown_lane() {
+        let mut tele = Telemetry::new();
+        tele.lane("dev");
+        tele.enter(LaneId(2), "x", t(0));
+    }
 
-        let mut shard = Telemetry::new();
-        let tablet = shard.lane("tablet");
-        let shard_phone = shard.lane("phone");
-        shard.enter(shard_phone, "outer", t(1));
-        shard.enter(shard_phone, format!("replay.svc.{}", "alarm"), t(2));
-        shard.finish(t(3));
-        let chunk = Detail::Chunk {
-            bytes: ByteSize::from_kib(256),
-            duration: SimDuration::from_millis(92),
-            congested: true,
-        };
-        shard.instant(tablet, TraceKind::Generic, "net.chunk", t(2), chunk.clone());
-        shard.emit(t(3), "over", "past the cap");
-        shard.counter_add("flux.c", 2);
-        shard.gauge_set("flux.g", 7.5);
-        shard.observe("flux.h", 50);
-        shard.counter_add("flux.new", 3);
+    #[test]
+    #[should_panic(expected = "lane 5 is not registered: the hub has 1 lanes")]
+    fn record_complete_refuses_an_unknown_lane() {
+        Telemetry::new().record_complete(LaneId(5), "x", t(0), t(1));
+    }
 
-        world.absorb(shard, SimDuration::from_millis(10));
-        // Lanes match by name; the shard's world lane is this world lane.
-        assert_eq!(world.lanes(), ["world", "phone", "tablet"]);
-        let spans = world.spans();
-        assert_eq!(spans.len(), 3);
-        assert_eq!(
-            (
-                &*spans[1].name,
-                spans[1].lane,
-                spans[1].parent,
-                spans[1].start
-            ),
-            ("outer", phone, None, t(11))
-        );
-        // Parent links are remapped past the spans already here, and the
-        // names move as they were: borrowed stays borrowed.
-        assert_eq!(spans[2].parent, Some(SpanId(1)));
-        assert_eq!(spans[2].end, Some(t(13)));
-        assert!(matches!(spans[1].name, Cow::Borrowed("outer")));
-        assert!(matches!(&spans[2].name, Cow::Owned(n) if n == "replay.svc.alarm"));
-        // Instants pass through `instant`, so this hub's cap applies.
-        assert_eq!(world.instants().len(), 2);
-        assert_eq!(world.dropped_events(), 1);
-        let moved = &world.instants()[1];
-        assert_eq!((moved.lane, moved.at), (LaneId(2), t(12)));
-        assert_eq!(moved.detail, chunk);
-        // Metrics merge by kind.
-        let m = world.metrics();
-        assert_eq!((m.counter("flux.c"), m.counter("flux.new")), (3, 3));
-        assert_eq!(m.gauge("flux.g"), Some(7.5));
-        assert_eq!(
-            m.histogram("flux.h").map(|h| (h.count(), h.sum())),
-            Some((2, 55))
-        );
+    #[test]
+    #[should_panic(expected = "lane 1 is not registered: the hub has 1 lanes")]
+    fn finish_lane_refuses_an_unknown_lane() {
+        Telemetry::new().finish_lane(LaneId(1), t(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 3 is not registered: the hub has 1 lanes")]
+    fn instant_refuses_an_unknown_lane_even_past_the_cap() {
+        let mut tele = Telemetry::new();
+        tele.set_event_capacity(0);
+        tele.instant(LaneId(3), TraceKind::Fault, "f", t(0), "x");
     }
 
     #[test]

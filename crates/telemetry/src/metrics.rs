@@ -186,7 +186,7 @@ impl MetricsRegistry {
 
     /// Folds every metric of `other` into this registry, by kind:
     /// counters add, gauges take `other`'s value (last-write-wins, with the
-    /// absorbed registry as the later writer), histograms merge bucket-wise
+    /// merged registry as the later writer), histograms merge bucket-wise
     /// when the bounds agree. On a kind mismatch — or a histogram bounds
     /// mismatch — `other`'s value replaces this one, mirroring what
     /// replaying `other`'s writes against this registry would do. `other`
