@@ -41,7 +41,7 @@ pub(crate) struct BatchLog {
     /// Every gauge write, in write order. A world hub keeps only each
     /// gauge's last value, but each run's writes must reach the world hub
     /// at that run's admission.
-    gauges: Vec<(Cow<'static, str>, f64)>,
+    pub(crate) gauges: Vec<(Cow<'static, str>, f64)>,
     /// The lanes each run interned besides the world lane, run after run,
     /// each run's in the order it first interned them.
     lanes: Vec<LaneId>,
@@ -58,11 +58,6 @@ impl BatchLog {
         if lane != LaneId::WORLD && !self.lanes[self.from.lanes..].contains(&lane) {
             self.lanes.push(lane);
         }
-    }
-
-    /// Logs a gauge write.
-    pub(crate) fn note_gauge(&mut self, name: Cow<'static, str>, value: f64) {
-        self.gauges.push((name, value));
     }
 }
 
@@ -360,6 +355,7 @@ mod tests {
     }
 
     fn random_run(rng: &mut TestRng) -> Run {
+        // One end in six names no device, as a refused request's can.
         let pick = |rng: &mut TestRng| match rng.usize_in(0, 6) {
             5 => None,
             i => Some(LANES[i % LANES.len()]),

@@ -538,7 +538,7 @@ impl Telemetry {
             return;
         }
         match &mut self.batch {
-            Some(batch) => batch.note_gauge(name.into(), value),
+            Some(batch) => batch.gauges.push((name.into(), value)),
             None => self.metrics.gauge_set(name, value),
         }
     }
