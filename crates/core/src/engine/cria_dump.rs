@@ -9,7 +9,7 @@
 
 use super::ctx::Checkpoint;
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome};
+use super::{Stage, StageCtx, Yield};
 use crate::cria::{FluxImage, ReinitSpec, IMAGE_COMPRESS_RATIO};
 use crate::image_cache;
 use crate::migration::{MigrationStage, StageTimes};
@@ -43,7 +43,7 @@ impl Stage for CriaDump {
         Some(&mut times.checkpoint)
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         let package = cx.mig.package.as_str();
         let image = {
             let now = cx.world.clock.now();
@@ -136,6 +136,6 @@ impl Stage for CriaDump {
             image: Arc::new(image),
             sizes,
         });
-        Ok(StageOutcome::Completed)
+        Ok(Yield::Done)
     }
 }

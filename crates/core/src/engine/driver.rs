@@ -19,7 +19,7 @@ use super::failure::StageFailure;
 use super::finalise::Finalise;
 use super::interrupt::InterruptSource;
 use super::slices::{Slice, SliceLog};
-use super::{preflight, Stage, StageCtx, StageOutcome, Yield, ATTEMPT_STAGES};
+use super::{preflight, Stage, StageCtx, Yield, ATTEMPT_STAGES};
 use crate::errors::FluxError;
 use crate::migration::{MigrationConfig, MigrationReport, MigrationSpec, StageInterrupt};
 use crate::world::{DeviceId, FluxWorld};
@@ -244,19 +244,16 @@ fn run_stage(
     // pipeline stage by stage.
     cx.prog.log.exit(cx.world.clock.now());
     match &result {
-        Ok(outcome) => {
-            let now = cx.world.clock.now();
-            let busy = cx.prog.busy_override.take().unwrap_or(now - t0);
-            if *outcome != StageOutcome::Skipped {
-                if let Some(slot) = stage.times_slot(&mut cx.prog.times) {
-                    *slot += busy;
-                }
-            }
-            cx.world.telemetry.exit(span, now);
+        Err(f) if !f.is_retryable() => {
+            // Fatal: the span is deliberately left open — the terminal
+            // settle's lane finish closes it, so the trace shows the stage
+            // as abandoned mid-flight.
+            cx.prog.busy_override = None;
         }
-        Err(f) if f.is_retryable() => {
-            // A faulted stage still did (and charged for) its work: its
-            // busy time counts, and its span closes cleanly.
+        _ => {
+            // A faulted stage still did (and charged for) its work, as a
+            // completed one did: its busy time counts, and its span
+            // closes cleanly.
             let now = cx.world.clock.now();
             let busy = cx.prog.busy_override.take().unwrap_or(now - t0);
             if let Some(slot) = stage.times_slot(&mut cx.prog.times) {
@@ -264,29 +261,19 @@ fn run_stage(
             }
             cx.world.telemetry.exit(span, now);
         }
-        Err(_) => {
-            // Fatal: the span is deliberately left open — the terminal
-            // settle's lane finish closes it, so the trace shows the stage
-            // as abandoned mid-flight.
-            cx.prog.busy_override = None;
-        }
     }
-    result.map(|_| ())
+    result
 }
 
 /// Drives one stage slice by slice: due interrupts are delivered at every
 /// boundary (entry and completion included) and [`Yield::Progress`]
-/// loops. With nothing armed this collapses to exactly one `run_slice`
-/// chain with free boundary checks — the undisturbed path.
-fn run_slices(stage: &dyn Stage, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+/// loops. With nothing armed this collapses to exactly one `run` chain
+/// with free boundary checks — the undisturbed path.
+fn run_slices(stage: &dyn Stage, cx: &mut StageCtx<'_>) -> Result<(), StageFailure> {
     loop {
         deliver_due(stage, cx)?;
-        match stage.run_slice(cx)? {
-            Yield::Progress(_) => continue,
-            Yield::Done(outcome) => {
-                deliver_due(stage, cx)?;
-                return Ok(outcome);
-            }
+        if stage.run(cx)? == Yield::Done {
+            return deliver_due(stage, cx);
         }
     }
 }

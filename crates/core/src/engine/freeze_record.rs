@@ -7,7 +7,7 @@
 //! redraw like any other foreground return.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome, Yield};
+use super::{Stage, StageCtx, Yield};
 use crate::migration::{MigrationStage, StageTimes};
 use flux_appfw::{conditional_reinit, egl_unload, handle_trim_memory, move_to_background};
 use flux_simcore::{ByteSize, SimDuration};
@@ -45,16 +45,7 @@ impl Stage for FreezeRecord {
         Some(&mut times.preparation)
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
-        loop {
-            match self.run_slice(cx)? {
-                Yield::Progress(_) => continue,
-                Yield::Done(outcome) => return Ok(outcome),
-            }
-        }
-    }
-
-    fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         let package = cx.mig.package.as_str();
         if !cx.prog.prep_quiesced {
             let now = cx.world.clock.now();
@@ -84,7 +75,7 @@ impl Stage for FreezeRecord {
             let cost = idle + teardown + binder;
             cx.world.clock.charge(cost);
             cx.prog.prep_quiesced = true;
-            return Ok(Yield::Progress(cost));
+            return Ok(Yield::Progress);
         }
         // The framework delivers the app's save point (`onPause`) before
         // the process freezes: buffered writes reach the home data
@@ -93,7 +84,7 @@ impl Stage for FreezeRecord {
         // buffered.
         cx.world.flush_pending(cx.mig.home, package)?;
         cx.prog.prep_done = true;
-        Ok(Yield::Done(StageOutcome::Completed))
+        Ok(Yield::Done)
     }
 
     /// Resumes the home-side app to the foreground (the record log was

@@ -6,10 +6,13 @@
 //! module makes those phases first-class values: each is a [`Stage`]
 //! implementation in its own module, and the [`driver`] is the single
 //! control loop that owns retry/backoff, telemetry span emission, ledger
-//! accounting, rollback unwinding and the run's [`Slice`] schedule. The
-//! public entry point [`migrate`] and the fleet executor both execute
-//! through that one driver; serial, pipelined and fleet execution differ
-//! only in configuration, not in duplicated control flow.
+//! accounting, rollback unwinding and the run's [`Slice`] schedule. A
+//! stage runs one slice per [`Stage::run`] call, and the driver alone
+//! calls it, looping until the stage yields [`Yield::Done`] and
+//! delivering due interrupts at every boundary. The public entry point
+//! [`migrate`] and the fleet executor both execute through that one
+//! driver; serial, pipelined and fleet execution differ only in
+//! configuration, not in duplicated control flow.
 //!
 //! Module names follow the paper's phase vocabulary; [`Stage::name`]
 //! returns the report/telemetry vocabulary the repo's figures were
@@ -43,38 +46,24 @@ use flux_simcore::SimDuration;
 use flux_telemetry::LaneId;
 use std::borrow::Cow;
 
-/// What a completed [`Stage::run`] reports back to the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageOutcome {
-    /// The stage did its work this attempt; the driver accumulates its
-    /// busy time and closes its span.
-    Completed,
-    /// The stage discovered at run time there was nothing to do; the
-    /// driver closes the span without charging busy time. (Stages that
-    /// know up front report through [`Stage::pending`] instead, which
-    /// skips the span entirely.)
-    Skipped,
-}
-
-/// What one [`Stage::run_slice`] call reports back to the driver's slice
-/// loop.
+/// What one [`Stage::run`] call reports back to the driver's slice loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Yield {
-    /// The stage ran one slice (charging `dur` of virtual time) and has
-    /// more work; the driver delivers any due interrupts at the boundary
-    /// and re-enters.
-    Progress(SimDuration),
-    /// The stage finished this attempt with the given outcome.
-    Done(StageOutcome),
+    /// The stage ran one slice, charging its virtual time, and has more
+    /// work; the driver delivers any due interrupts at the boundary and
+    /// re-enters.
+    Progress,
+    /// The stage finished this attempt.
+    Done,
 }
 
 /// One phase of the migration pipeline.
 ///
 /// Stages hold no state of their own — everything flows through the
-/// [`StageCtx`]. The driver wraps [`run_slice`](Self::run_slice)
-/// uniformly: it skips the stage when [`pending`](Self::pending) is
-/// false, opens the stage's telemetry span, arms any interrupts anchored
-/// to [`anchor`](Self::anchor), then loops slices — delivering due
+/// [`StageCtx`]. The driver wraps [`run`](Self::run) uniformly: it
+/// skips the stage when [`pending`](Self::pending) is false, opens the
+/// stage's telemetry span, arms any interrupts anchored to
+/// [`anchor`](Self::anchor), then loops slices — delivering due
 /// interrupts at every boundary — until the stage yields
 /// [`Yield::Done`]. On success or a retryable fault it accumulates busy
 /// time into [`times_slot`](Self::times_slot) and closes the span. On a
@@ -119,21 +108,11 @@ pub trait Stage {
         None
     }
 
-    /// Runs the stage, charging virtual time and mutating the world.
-    ///
-    /// Monolithic stages implement this directly; resumable stages
-    /// (preparation, transfer) implement [`run_slice`](Self::run_slice)
-    /// and provide `run` as the slice loop, so direct callers see the
-    /// same all-at-once behaviour either way.
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure>;
-
-    /// Runs one slice of the stage. The default treats the whole stage
-    /// as a single indivisible slice (one [`run`](Self::run) to
-    /// completion); resumable stages override this and yield
+    /// Runs one slice of the stage, charging virtual time and mutating
+    /// the world. Monolithic stages run whole and yield [`Yield::Done`];
+    /// resumable stages (preparation, transfer) yield
     /// [`Yield::Progress`] at every interruptible boundary.
-    fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
-        Ok(Yield::Done(self.run(cx)?))
-    }
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure>;
 
     /// Undoes this stage's externally visible effects during rollback.
     /// Called in reverse pipeline order for every stage, whether or not it

@@ -10,7 +10,7 @@
 //! streamed round (possibly none), and the freeze ships the rest.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome};
+use super::{Stage, StageCtx, Yield};
 use crate::cria::IMAGE_COMPRESS_RATIO;
 use crate::image_cache;
 use crate::migration::{
@@ -48,7 +48,7 @@ impl Stage for Precopy {
         Some(&mut times.precopy)
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         let package = cx.mig.package.to_owned();
         let mut rounds = 0u32;
         for round in 1..=PRECOPY_MAX_ROUNDS {
@@ -159,7 +159,7 @@ impl Stage for Precopy {
             cx.prog.precopy_streamed.as_u64(),
         );
         cx.prog.precopy_done = true;
-        Ok(StageOutcome::Completed)
+        Ok(Yield::Done)
     }
 
     /// Pre-copy residue on the guest is a plain staging file; remove it.

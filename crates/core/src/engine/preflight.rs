@@ -6,7 +6,7 @@
 //! so the phase appears in the engine's declared enumeration.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome};
+use super::{Stage, StageCtx, Yield};
 use crate::world::{DeviceId, FluxWorld, WorldError};
 use flux_kernel::FdKind;
 
@@ -18,9 +18,9 @@ impl Stage for Preflight {
         "preflight"
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         check(cx.world, cx.mig.home, cx.mig.guest, &cx.mig.package)?;
-        Ok(StageOutcome::Completed)
+        Ok(Yield::Done)
     }
 }
 

@@ -8,7 +8,7 @@
 //! the progress record for the driver's report assembly.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome};
+use super::{Stage, StageCtx, Yield};
 use crate::errors::FluxError;
 use crate::migration::{MigrationStage, StageTimes};
 use crate::replay::replay_log;
@@ -41,7 +41,7 @@ impl Stage for ReplayWarmup {
         Some(&mut times.reintegration)
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         let package = cx.mig.package.as_str();
         let image = Arc::clone(
             &cx.prog
@@ -93,7 +93,7 @@ impl Stage for ReplayWarmup {
         ));
         cx.prog.replay = Some(replay);
         cx.prog.redrawn = redrawn;
-        Ok(StageOutcome::Completed)
+        Ok(Yield::Done)
     }
 }
 

@@ -18,7 +18,7 @@
 //! radio are interleaved sub-chunk, so interrupts land at its edges.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome, Yield};
+use super::{Stage, StageCtx, Yield};
 use crate::migration::{MigrationStage, StageTimes};
 use crate::pairing::verify_app;
 use flux_net::{ChunkedOutcome, ChunkedTransfer, DEFAULT_CHUNK};
@@ -68,16 +68,7 @@ impl Stage for Transfer {
         Some(&mut times.transfer)
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
-        loop {
-            match self.run_slice(cx)? {
-                Yield::Progress(_) => continue,
-                Yield::Done(outcome) => return Ok(outcome),
-            }
-        }
-    }
-
-    fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         if let Some(inflight) = cx.prog.transfer_inflight.take() {
             return drain_window(cx, inflight);
         }
@@ -154,7 +145,7 @@ impl Stage for Transfer {
                 next_chunk: 0,
                 bytes_recorded: ByteSize::ZERO,
             });
-            Ok(Yield::Progress(verify_done.since(t2)))
+            Ok(Yield::Progress)
         }
     }
 
@@ -221,12 +212,11 @@ fn drain_window(cx: &mut StageCtx<'_>, mut infl: InflightTransfer) -> Result<Yie
         // Stage what the guest acknowledged so far: this is exactly the
         // torn prefix a kill in this window leaves behind for rollback.
         cx.stage_chunks()?;
-        let seg = target.since(infl.cursor);
         infl.cursor = target;
         infl.bytes_recorded =
             ByteSize::from_bytes(infl.bytes_recorded.as_u64() + seg_bytes.as_u64());
         cx.prog.transfer_inflight = Some(infl);
-        return Ok(Yield::Progress(seg));
+        return Ok(Yield::Progress);
     }
     let InflightTransfer { radio, t2, .. } = infl;
     let busy = cx.world.clock.now() - t2;
@@ -305,7 +295,7 @@ fn settle_window(
             // Chunks the cache lacked are now on the guest: remember
             // them for the next migration of this package.
             cx.insert_cache_misses()?;
-            Ok(Yield::Done(StageOutcome::Completed))
+            Ok(Yield::Done)
         }
         ChunkedOutcome::LinkDropped { at } => Err(StageFailure::FaultAborted {
             stage: MigrationStage::Transfer,

@@ -7,7 +7,7 @@
 //! the guest-side process injection the same way.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome};
+use super::{Stage, StageCtx, Yield};
 use crate::migration::{MigrationStage, StageTimes};
 use flux_appfw::App;
 use flux_kernel::{criu, RestoreOptions, VmaKind};
@@ -41,7 +41,7 @@ impl Stage for Undump {
         Some(&mut times.restore)
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+    fn run(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         let package = cx.mig.package.as_str();
         let (image, sizes) = {
             let ckpt = cx.prog.checkpoint.as_ref().expect("checkpoint completed");
@@ -156,7 +156,7 @@ impl Stage for Undump {
         // The staged chunks have been consumed into the restored process.
         cx.remove_staged_chunks()?;
         cx.prog.restore_done = true;
-        Ok(StageOutcome::Completed)
+        Ok(Yield::Done)
     }
 
     /// Tears the restored wrapper process (and its injected Binder

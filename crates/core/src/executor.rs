@@ -31,13 +31,14 @@
 //!   from that draw and its id — so streams are independent of batch
 //!   order and batch size;
 //! * the **batch hub**: the whole batch records into one telemetry hub
-//!   ([`Telemetry::batch`]), which the home and guest lanes point at
-//!   during the run. Each run ends by cutting its [`Part`] off the hub:
-//!   its spans, instants, gauge writes and lanes. The scheduler moves the
-//!   part into the world hub at the request's admission, shifted by its
-//!   queue wait, in admission order — the `(SimTime, id)` merge key —
-//!   and merges the batch's counters and histograms once the batch
-//!   drains (see [`flux_telemetry::batch`]);
+//!   ([`Telemetry::batch`]) that opens with the world hub's lanes, so each
+//!   run records on its home and guest devices' own lanes. Each run ends
+//!   by cutting its [`Part`] off the hub: its spans, instants and gauge
+//!   writes, which may lie only on the world lane and those two device
+//!   lanes. The scheduler moves the part into the world hub at the
+//!   request's admission, shifted by its queue wait, in admission order —
+//!   the `(SimTime, id)` merge key — and merges the batch's counters and
+//!   histograms once the batch drains (see [`flux_telemetry::batch`]);
 //! * the request's own fault plan shifted onto the batch-open instant
 //!   (it is request-relative by contract), or the world's ambient plan
 //!   verbatim.
@@ -59,7 +60,7 @@
 use crate::engine::{self, StageFailure};
 use crate::errors::FluxError;
 use crate::fleet::{FleetOutcome, MigrationRequest};
-use crate::world::{DeviceId, FluxWorld};
+use crate::world::FluxWorld;
 use flux_net::NetworkEnv;
 use flux_simcore::{FaultPlan, SimClock, SimDuration, SimTime};
 use flux_telemetry::{LaneId, Part, Telemetry};
@@ -224,10 +225,10 @@ fn execute_batch(world: &mut FluxWorld, requests: &[MigrationRequest]) -> Vec<Ex
         .collect()
 }
 
-/// Runs the engine on the world's own devices with `ctx` swapped in and
-/// the devices' lanes pointed at the batch hub, then cuts the run's part
-/// off the hub and swaps the world's context back. The context clock
-/// opened at `start`, so the wall time is the clock's progress past it.
+/// Runs the engine on the world's own devices with `ctx` swapped in, then
+/// cuts the run's part, on its devices' lanes, off the batch hub and
+/// swaps the world's context back. The context clock opened at `start`,
+/// so the wall time is the clock's progress past it.
 fn run_in_place(
     world: &mut FluxWorld,
     req: &MigrationRequest,
@@ -235,8 +236,6 @@ fn run_in_place(
     start: SimTime,
 ) -> Run {
     ctx.swap(world);
-    let ends = [req.home, req.guest];
-    let lanes = ends.map(|id| point_lane(world, id));
     let (result, schedule) = engine::driver::run(
         world,
         req.home,
@@ -246,25 +245,17 @@ fn run_in_place(
         &req.interrupts,
     );
     let now = world.clock.now();
-    let part = world.telemetry.end_part(now);
-    // Restored in reverse, so a home == guest device ends on the lane it
-    // had before its first remap.
-    for (id, lane) in ends.into_iter().zip(lanes).rev() {
-        if let Some(lane) = lane {
-            world.devices[id.0].lane = lane;
-        }
-    }
+    // A missing device has no lane; the world lane, a run lane anyway,
+    // stands in for it.
+    let lanes = [req.home, req.guest].map(|id| {
+        world
+            .devices
+            .get(id.0)
+            .map_or(LaneId::WORLD, |dev| dev.lane)
+    });
+    let part = world.telemetry.end_part(now, &lanes);
     ctx.swap(world);
     (classify(result), schedule, now.since(start), part)
-}
-
-/// Points device `id`'s lane at the same-named lane of the world's hub,
-/// which notes it as one of the run's lanes, and returns the lane it
-/// replaced; `None` when there is no such device.
-fn point_lane(world: &mut FluxWorld, id: DeviceId) -> Option<LaneId> {
-    let dev = world.devices.get_mut(id.0)?;
-    let lane = world.telemetry.lane(&dev.name);
-    Some(std::mem::replace(&mut dev.lane, lane))
 }
 
 /// Classifies one engine result.
@@ -297,6 +288,7 @@ fn classify(result: Result<crate::MigrationReport, FluxError>) -> FleetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::DeviceId;
 
     fn req(id: u64, home: usize, guest: usize) -> MigrationRequest {
         MigrationRequest::new(id, DeviceId(home), DeviceId(guest), "app")

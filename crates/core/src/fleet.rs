@@ -556,16 +556,6 @@ impl FleetScheduler {
         self
     }
 
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// The installed cell topology, if any.
-    pub fn topology(&self) -> Option<&RadioTopology> {
-        self.topology.as_ref()
-    }
-
     /// Runs `requests` to completion and returns the fleet report.
     ///
     /// Every request reaches a terminal [`FleetOutcome`]; an individual

@@ -14,4 +14,4 @@ pub mod fs;
 pub mod rsync;
 
 pub use fs::{Content, FileEntry, FsError, SimFs, Tree};
-pub use rsync::{sync, sync_with_budget, FileAction, SyncOptions, SyncReport};
+pub use rsync::{sync, FileAction, SyncOptions, SyncReport};

@@ -160,35 +160,12 @@ pub fn sync(
     opts: &SyncOptions,
     cost: &CostModel,
 ) -> Result<SyncReport, FsError> {
-    sync_with_budget(src, src_root, dst, dst_root, opts, cost, None).map(|(r, _)| r)
-}
-
-/// Like [`sync`], but stops once `budget` shipped bytes are exceeded,
-/// returning whether the run completed.
-///
-/// Files shipped before the cut-off stay written at the destination, so a
-/// later run over the same roots resumes where this one stopped: completed
-/// files classify as [`FileAction::UpToDate`] and are not re-sent. This is
-/// the filesystem half of Flux's resumable transfer — an interrupted sync
-/// never re-ships delivered data. A budgeted sync always runs per file.
-#[allow(clippy::too_many_arguments)]
-pub fn sync_with_budget(
-    src: &SimFs,
-    src_root: &str,
-    dst: &mut SimFs,
-    dst_root: &str,
-    opts: &SyncOptions,
-    cost: &CostModel,
-    budget: Option<ByteSize>,
-) -> Result<(SyncReport, bool), FsError> {
-    if budget.is_none() {
-        if let Some((tree, link)) = shared_inputs(src, src_root, dst, dst_root, opts) {
-            let (mirror, report) = stored_sync(tree, link, src_root, dst_root, opts, cost)?;
-            dst.mount(dst_root, mirror);
-            return Ok((report, true));
-        }
+    if let Some((tree, link)) = shared_inputs(src, src_root, dst, dst_root, opts) {
+        let (mirror, report) = stored_sync(tree, link, src_root, dst_root, opts, cost)?;
+        dst.mount(dst_root, mirror);
+        return Ok(report);
     }
-    sync_files(src, src_root, dst, dst_root, opts, cost, budget)
+    sync_files(src, src_root, dst, dst_root, opts, cost)
 }
 
 /// The source tree and `--link-dest` tree when a sync's outcome depends on
@@ -243,7 +220,7 @@ fn stored_sync(
     if let (Some(link_dest), Some(link)) = (&opts.link_dest, link) {
         dst.mount(link_dest, Arc::clone(link));
     }
-    let (report, _) = sync_files(&src, src_root, &mut dst, dst_root, opts, cost, None)?;
+    let report = sync_files(&src, src_root, &mut dst, dst_root, opts, cost)?;
     let mirror = Arc::new(dst.tree_at(dst_root));
     let mut stored = lock();
     // Another thread may have stored the same result meanwhile.
@@ -262,7 +239,6 @@ fn stored_sync(
 
 /// The per-file decision procedure: every sync's outcome is the one this
 /// gives.
-#[allow(clippy::too_many_arguments)]
 fn sync_files(
     src: &SimFs,
     src_root: &str,
@@ -270,16 +246,10 @@ fn sync_files(
     dst_root: &str,
     opts: &SyncOptions,
     cost: &CostModel,
-    budget: Option<ByteSize>,
-) -> Result<(SyncReport, bool), FsError> {
+) -> Result<SyncReport, FsError> {
     let mut report = SyncReport::default();
     for (src_path, entry) in src.list_under(src_root) {
         let content = entry.content;
-        if let Some(budget) = budget {
-            if report.bytes_shipped >= budget {
-                return Ok((report, false));
-            }
-        }
         let rel = under(&src_path, src_root).expect("list_under() stays under src_root");
         let dst_path = format!("{dst_root}{rel}");
         report.files_total += 1;
@@ -331,7 +301,7 @@ fn sync_files(
             }
         }
     }
-    Ok((report, true))
+    Ok(report)
 }
 
 fn decide(
@@ -477,64 +447,6 @@ mod tests {
         assert_eq!(r.files_full, 3);
         assert_eq!(r.files_delta, 1);
         assert!(r.bytes_shipped > ByteSize::ZERO);
-    }
-
-    #[test]
-    fn budgeted_sync_resumes_without_reshipping() {
-        let (home, mut guest) = fixture();
-        let opts = SyncOptions {
-            link_dest: None,
-            ..SyncOptions::default()
-        };
-        // A tiny budget interrupts the sync after the first shipped file.
-        let (partial, completed) = sync_with_budget(
-            &home,
-            "/system",
-            &mut guest,
-            "/data/flux/home/system",
-            &opts,
-            &CostModel::reference(),
-            Some(ByteSize::from_kib(1)),
-        )
-        .unwrap();
-        assert!(!completed);
-        assert!(partial.files_total < 4);
-        assert!(partial.bytes_shipped > ByteSize::ZERO);
-
-        // The retry only ships what the first run did not deliver.
-        let (rest, completed) = sync_with_budget(
-            &home,
-            "/system",
-            &mut guest,
-            "/data/flux/home/system",
-            &opts,
-            &CostModel::reference(),
-            None,
-        )
-        .unwrap();
-        assert!(completed);
-        assert_eq!(rest.files_total, 4);
-        assert_eq!(
-            rest.files_up_to_date,
-            partial.files_delta + partial.files_full
-        );
-
-        // Together the two runs shipped exactly one uninterrupted sync.
-        let (mut fresh_home, mut fresh_guest) = fixture();
-        let _ = &mut fresh_home;
-        let full = sync(
-            &fresh_home,
-            "/system",
-            &mut fresh_guest,
-            "/data/flux/home/system",
-            &opts,
-            &CostModel::reference(),
-        )
-        .unwrap();
-        assert_eq!(
-            partial.bytes_shipped + rest.bytes_shipped,
-            full.bytes_shipped
-        );
     }
 
     #[test]

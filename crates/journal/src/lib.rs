@@ -49,7 +49,7 @@ pub mod wire;
 
 pub use event::{RequestSpec, ScenarioSpec, WorldEvent};
 pub use journal::{Journal, JournalConfig, JournalError, Recovered};
-pub use protocol::{handle_line, handle_line_shared, Response};
+pub use protocol::{handle_line_shared, Response};
 pub use service::{
     BatchRecord, ExecutedBatch, PreparedBatch, RecoveryInfo, ServiceConfig, ServiceCore,
     ServiceError, SubmitAck,

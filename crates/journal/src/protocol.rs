@@ -12,8 +12,8 @@
 //! ```
 //!
 //! so a client never has to guess where a JSON blob ends. The protocol
-//! layer is a pure function from `(service, line)` to [`Response`], which
-//! keeps it testable without sockets.
+//! layer is one function, [`handle_line_shared`], from `(service, line)`
+//! to [`Response`], which keeps it testable without sockets.
 //!
 //! Commands:
 //!
@@ -28,7 +28,7 @@
 //! | `STATE` | bulk: the full durable state (the byte-identity probe) |
 //! | `QUIT` | close this connection |
 
-use crate::service::{ServiceCore, ServiceError, SubmitAck};
+use crate::service::{ServiceCore, SubmitAck};
 use crate::RequestSpec;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -82,8 +82,9 @@ fn batch_blob(
     }
 }
 
-/// Executes one protocol line against the service.
-pub fn handle_line(core: &mut ServiceCore, line: &str) -> Response {
+/// Executes one protocol line other than a bare `STEP` against the
+/// service, under the core lock [`handle_line_shared`] holds.
+fn handle_line(core: &mut ServiceCore, line: &str) -> Response {
     let mut words = line.split_whitespace();
     let Some(cmd) = words.next() else {
         return Response::err("empty command");
@@ -122,12 +123,6 @@ pub fn handle_line(core: &mut ServiceCore, line: &str) -> Response {
                 Err(e) => Response::err(e),
             }
         }
-        ("STEP", []) => match core.step_batch() {
-            Ok(Some(record)) => step_line(record),
-            Ok(None) => Response::Line("OK idle".into()),
-            Err(e @ ServiceError::Invalid(_)) => Response::err(e),
-            Err(e) => Response::err(e),
-        },
         ("REPORT", [_]) => batch_blob(core, args.first().copied(), |r| {
             serde::to_json(&r.report).into_bytes()
         }),
@@ -143,8 +138,7 @@ pub fn handle_line(core: &mut ServiceCore, line: &str) -> Response {
     }
 }
 
-/// The one-line `STEP` success response, shared by both entry points so
-/// the wire format cannot drift between them.
+/// The one-line `STEP` success response.
 fn step_line(record: &crate::BatchRecord) -> Response {
     Response::Line(format!(
         "OK batch {} completed={} rolled_back={} refused={}",
@@ -154,8 +148,8 @@ fn step_line(record: &crate::BatchRecord) -> Response {
 
 /// Executes one protocol line against a core shared behind a mutex.
 ///
-/// Every command takes the core lock just around [`handle_line`] — except
-/// `STEP`, whose expensive fleet execution runs *outside* the lock so
+/// Every command runs under the core lock — except `STEP`, whose
+/// expensive fleet execution runs *outside* the lock so
 /// observers on other connections (`STATUS`, `REPORT`, ...) keep getting
 /// answers while a batch is in flight. The cycle is: journal + drain the
 /// admission under the lock ([`ServiceCore::begin_batch`]), execute the
@@ -197,7 +191,7 @@ mod tests {
     use crate::journal::JournalConfig;
     use crate::{ScenarioSpec, ServiceConfig};
 
-    fn svc(tag: &str) -> (ServiceCore, std::path::PathBuf) {
+    fn svc(tag: &str) -> (Arc<Mutex<ServiceCore>>, std::path::PathBuf) {
         let root =
             std::env::temp_dir().join(format!("flux-protocol-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -214,46 +208,50 @@ mod tests {
                 sync_on_append: false,
             },
         };
-        (ServiceCore::open(&root, spec, cfg).unwrap(), root)
+        let core = ServiceCore::open(&root, spec, cfg).unwrap();
+        (Arc::new(Mutex::new(core)), root)
     }
 
     #[test]
     fn full_session_flows() {
-        let (mut core, root) = svc("session");
+        let (core, root) = svc("session");
         assert_eq!(
-            handle_line(&mut core, "SUBMIT 1 0 WhatsApp"),
+            handle_line_shared(&core, "SUBMIT 1 0 WhatsApp"),
             Response::Line("OK acked".into())
         );
         assert_eq!(
-            handle_line(&mut core, "submit 1 0 WhatsApp"),
+            handle_line_shared(&core, "submit 1 0 WhatsApp"),
             Response::Line("OK duplicate".into())
         );
-        let step = handle_line(&mut core, "STEP");
+        let step = handle_line_shared(&core, "STEP");
         assert!(matches!(&step, Response::Line(l) if l.starts_with("OK batch 0")));
         assert_eq!(
-            handle_line(&mut core, "STEP"),
+            handle_line_shared(&core, "STEP"),
             Response::Line("OK idle".into())
         );
-        let status = handle_line(&mut core, "STATUS");
+        let status = handle_line_shared(&core, "STATUS");
         assert!(matches!(&status, Response::Line(l) if l.contains("batches=1")));
-        let report = handle_line(&mut core, "REPORT 0");
+        let report = handle_line_shared(&core, "REPORT 0");
         assert!(matches!(&report, Response::Blob(b) if b.starts_with(b"{\"flights\"")));
         assert!(matches!(
-            handle_line(&mut core, "TRACE 0"),
+            handle_line_shared(&core, "TRACE 0"),
             Response::Blob(_)
         ));
         assert!(matches!(
-            handle_line(&mut core, "TELEMETRY 0"),
+            handle_line_shared(&core, "TELEMETRY 0"),
             Response::Blob(_)
         ));
-        assert!(matches!(handle_line(&mut core, "STATE"), Response::Blob(_)));
-        assert!(handle_line(&mut core, "QUIT").is_quit());
+        assert!(matches!(
+            handle_line_shared(&core, "STATE"),
+            Response::Blob(_)
+        ));
+        assert!(handle_line_shared(&core, "QUIT").is_quit());
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn malformed_commands_are_errors_not_panics() {
-        let (mut core, root) = svc("malformed");
+        let (core, root) = svc("malformed");
         for bad in [
             "",
             "NOPE",
@@ -264,7 +262,7 @@ mod tests {
             "REPORT 7",
             "STEP now",
         ] {
-            let resp = handle_line(&mut core, bad);
+            let resp = handle_line_shared(&core, bad);
             assert!(
                 matches!(&resp, Response::Line(l) if l.starts_with("ERR ")),
                 "{bad:?} should be an ERR, got {resp:?}"
@@ -281,7 +279,6 @@ mod tests {
     #[test]
     fn status_answers_while_a_batch_is_in_flight() {
         let (core, root) = svc("inflight");
-        let core = Arc::new(Mutex::new(core));
         handle_line_shared(&core, "SUBMIT 1 0 WhatsApp");
         handle_line_shared(&core, "SUBMIT 2 0 Browser");
 
@@ -312,9 +309,10 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// The shared path must produce byte-identical durable state to the
-    /// single-threaded [`handle_line`] path — same journal events in the
-    /// same order, same batch records, same RNG advance.
+    /// The shared path must produce byte-identical durable state to a
+    /// `STEP` run under the lock by [`ServiceCore::step_batch`] — same
+    /// journal events in the same order, same batch records, same RNG
+    /// advance.
     #[test]
     fn shared_step_state_matches_exclusive_step() {
         let script = [
@@ -325,17 +323,20 @@ mod tests {
             "STEP",
             "STEP",
         ];
-        let (mut exclusive, root_a) = svc("shared-a");
+        let (exclusive, root_a) = svc("shared-a");
         for line in script {
-            handle_line(&mut exclusive, line);
+            if line == "STEP" {
+                exclusive.lock().unwrap().step_batch().unwrap();
+            } else {
+                handle_line_shared(&exclusive, line);
+            }
         }
-        let (core, root_b) = svc("shared-b");
-        let shared = Arc::new(Mutex::new(core));
+        let (shared, root_b) = svc("shared-b");
         for line in script {
             handle_line_shared(&shared, line);
         }
         assert_eq!(
-            exclusive.state_json(),
+            exclusive.lock().unwrap().state_json(),
             shared.lock().unwrap().state_json(),
             "shared and exclusive STEP paths must converge byte-identically"
         );
@@ -349,7 +350,6 @@ mod tests {
     #[test]
     fn threaded_status_probe_does_not_queue_behind_step() {
         let (core, root) = svc("threaded");
-        let core = Arc::new(Mutex::new(core));
         // Enough requests that the batch takes a measurable moment.
         for i in 0..6 {
             handle_line_shared(&core, &format!("SUBMIT {i} 0 WhatsApp"));
@@ -394,10 +394,10 @@ mod tests {
 
     #[test]
     fn blob_wire_format_is_length_prefixed() {
-        let (mut core, root) = svc("wire");
-        handle_line(&mut core, "SUBMIT 1 0 WhatsApp");
-        handle_line(&mut core, "STEP");
-        let resp = handle_line(&mut core, "REPORT 0");
+        let (core, root) = svc("wire");
+        handle_line_shared(&core, "SUBMIT 1 0 WhatsApp");
+        handle_line_shared(&core, "STEP");
+        let resp = handle_line_shared(&core, "REPORT 0");
         let mut out = Vec::new();
         resp.write_to(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();

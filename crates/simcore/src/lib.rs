@@ -17,9 +17,9 @@
 //! * [`fault`] — seeded [`FaultPlan`] schedules of link drops, congestion
 //!   spikes and kernel stalls that the transfer and migration paths consult
 //!   when fault injection is enabled.
-//! * [`pipeline`] — a virtual-time lane scheduler so pipelined migration can
-//!   overlap compression, radio transfer and filesystem sync while staying
-//!   deterministic.
+//! * [`pipeline`] — the fused CPU/radio window on which pipelined migration
+//!   overlaps compression with radio transfer, and the discrete-event
+//!   [`Timeline`] the fleet scheduler runs on, both deterministic.
 
 pub mod cost;
 pub mod fault;
@@ -34,7 +34,7 @@ pub mod wire;
 pub use cost::CostModel;
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
 pub use ids::{Pid, Uid};
-pub use pipeline::{FusedLanes, PipeLane, Pipeline, Timeline};
+pub use pipeline::{FusedLanes, Timeline};
 pub use rng::{SimRng, SimRngState};
 pub use size::ByteSize;
 pub use time::{SimClock, SimDuration, SimTime};

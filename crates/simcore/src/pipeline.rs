@@ -1,133 +1,27 @@
-//! A virtual-time pipeline scheduler.
+//! Virtual-time scheduling primitives: the fused CPU/radio window a
+//! pipelined migration stage charges, and the discrete-event timeline the
+//! fleet scheduler and the interrupt source run on.
 //!
-//! The serial migration path charges every cost to the single [`SimClock`](crate::SimClock)
-//! in sequence, so checkpoint compression, radio transfer and filesystem
-//! sync can never overlap. A [`Pipeline`] models the overlap the real
-//! system gets from running those on separate hardware resources (CPU,
-//! radio, flash): each *lane* keeps its own cursor, work items charge only
-//! their lane, and the pipeline ends at the maximum cursor. The difference
-//! between the summed busy time and the wall-clock span is exactly the
-//! latency the overlap hid.
-//!
-//! The scheduler is purely arithmetic over [`SimTime`] — no threads, no
+//! Both are purely arithmetic over [`SimTime`] — no threads, no
 //! interleaving nondeterminism — so pipelined runs stay byte-identical for
 //! a fixed seed, the repo's core invariant.
-//!
-//! # Examples
-//!
-//! ```
-//! use flux_simcore::pipeline::Pipeline;
-//! use flux_simcore::{SimDuration, SimTime};
-//!
-//! let mut p = Pipeline::begin(SimTime::ZERO);
-//! let cpu = p.lane();
-//! let radio = p.lane();
-//! // 4s of compression and 6s of transfer, started together:
-//! p.run(cpu, SimDuration::from_secs(4));
-//! p.run(radio, SimDuration::from_secs(6));
-//! assert_eq!(p.wall(), SimDuration::from_secs(6));
-//! assert_eq!(p.busy(), SimDuration::from_secs(10));
-//! assert_eq!(p.overlap_saved(), SimDuration::from_secs(4));
-//! ```
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-
-/// Handle to one pipeline lane (an independent resource: CPU, radio, flash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipeLane(usize);
-
-/// A set of concurrent lanes advancing through virtual time together.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    start: SimTime,
-    lanes: Vec<SimTime>,
-    busy: SimDuration,
-}
-
-impl Pipeline {
-    /// Opens a pipeline; every lane's cursor starts at `now`.
-    pub fn begin(now: SimTime) -> Self {
-        Self {
-            start: now,
-            lanes: Vec::new(),
-            busy: SimDuration::ZERO,
-        }
-    }
-
-    /// Adds a lane and returns its handle.
-    pub fn lane(&mut self) -> PipeLane {
-        self.lanes.push(self.start);
-        PipeLane(self.lanes.len() - 1)
-    }
-
-    /// Charges `work` to `lane` starting at its current cursor.
-    /// Returns the `(start, end)` window the work occupied.
-    pub fn run(&mut self, lane: PipeLane, work: SimDuration) -> (SimTime, SimTime) {
-        self.run_after(lane, self.start, work)
-    }
-
-    /// Charges `work` to `lane`, starting no earlier than `ready` (e.g. the
-    /// moment the first compressed chunk exists for the radio to send).
-    /// The work begins at `max(lane cursor, ready)` — lanes are in-order —
-    /// and the lane cursor advances to its end.
-    pub fn run_after(
-        &mut self,
-        lane: PipeLane,
-        ready: SimTime,
-        work: SimDuration,
-    ) -> (SimTime, SimTime) {
-        let cursor = &mut self.lanes[lane.0];
-        let begin = if *cursor > ready { *cursor } else { ready };
-        let end = begin + work;
-        *cursor = end;
-        self.busy += work;
-        (begin, end)
-    }
-
-    /// The virtual time at which the pipeline opened.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
-    /// A lane's current cursor.
-    pub fn cursor(&self, lane: PipeLane) -> SimTime {
-        self.lanes[lane.0]
-    }
-
-    /// The virtual time at which every lane has drained: the pipeline's
-    /// end, to which the caller advances its [`SimClock`](crate::SimClock).
-    pub fn end(&self) -> SimTime {
-        self.lanes.iter().copied().max().unwrap_or(self.start)
-    }
-
-    /// Wall-clock span of the pipeline (`end - start`).
-    pub fn wall(&self) -> SimDuration {
-        self.end().since(self.start)
-    }
-
-    /// Total work charged across all lanes — what a serial schedule would
-    /// have cost.
-    pub fn busy(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Latency hidden by the overlap: `busy - wall`. Zero when nothing
-    /// overlapped (single lane, or strictly dependent work).
-    pub fn overlap_saved(&self) -> SimDuration {
-        self.busy.saturating_sub(self.wall())
-    }
-}
 
 /// The fused CPU/radio window a pipelined migration stage schedules on:
 /// deferred CPU work (checkpoint compression) overlapping an in-order
 /// radio flow that may only start once the first of `items` equal outputs
 /// exists — a `cpu_work / items` lead after the window opens.
 ///
-/// This is the lane arithmetic the transfer stage feeds its chunked radio
-/// flow through; keeping it here makes the
-/// overlap model a scheduler *input* rather than ad-hoc code at the call
-/// site, and keeps it byte-identical across callers.
+/// The serial migration path charges every cost to the single
+/// [`SimClock`](crate::SimClock) in sequence, so compression and radio
+/// transfer can never overlap. Here each of the two lanes keeps its own
+/// cursor, work charges only its lane, and the window ends at the later
+/// cursor; the difference between the summed work and the window's span
+/// is exactly the latency the overlap hid. The transfer stage feeds its
+/// chunked radio flow through this window, which keeps the overlap model
+/// a scheduler *input* rather than ad-hoc code at the call site.
 ///
 /// # Examples
 ///
@@ -144,10 +38,15 @@ impl Pipeline {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FusedLanes {
-    pipe: Pipeline,
-    radio: PipeLane,
+    start: SimTime,
+    /// Where the CPU lane's one piece of work ends.
+    cpu_end: SimTime,
     radio_ready: SimTime,
-    cpu_window: (SimTime, SimTime),
+    /// The radio lane's cursor: where its last flow ended.
+    radio_end: SimTime,
+    /// Work charged across both lanes — what a serial schedule would have
+    /// cost.
+    busy: SimDuration,
 }
 
 impl FusedLanes {
@@ -155,16 +54,12 @@ impl FusedLanes {
     /// `start`, and the radio becomes ready one item's worth of CPU time
     /// later (`start + cpu_work / max(items, 1)`).
     pub fn begin(start: SimTime, cpu_work: SimDuration, items: u64) -> Self {
-        let mut pipe = Pipeline::begin(start);
-        let cpu = pipe.lane();
-        let radio = pipe.lane();
-        let lead = cpu_work / items.max(1);
-        let cpu_window = pipe.run(cpu, cpu_work);
         Self {
-            pipe,
-            radio,
-            radio_ready: start + lead,
-            cpu_window,
+            start,
+            cpu_end: start + cpu_work,
+            radio_ready: start + cpu_work / items.max(1),
+            radio_end: start,
+            busy: cpu_work,
         }
     }
 
@@ -174,31 +69,34 @@ impl FusedLanes {
     }
 
     /// Charges the radio flow's air time to the radio lane, starting no
-    /// earlier than [`radio_ready`](Self::radio_ready).
+    /// earlier than [`radio_ready`](Self::radio_ready) and, the lane being
+    /// in-order, no earlier than the lane's previous flow ended.
     pub fn run_radio(&mut self, work: SimDuration) {
-        self.pipe.run_after(self.radio, self.radio_ready, work);
+        self.radio_end = self.radio_end.max(self.radio_ready) + work;
+        self.busy += work;
     }
 
     /// The `(start, end)` window the CPU work occupied — what the caller
     /// records its compression span over.
     pub fn cpu_window(&self) -> (SimTime, SimTime) {
-        self.cpu_window
+        (self.start, self.cpu_end)
     }
 
     /// The instant both lanes have drained; advance the clock here.
     pub fn end(&self) -> SimTime {
-        self.pipe.end()
+        self.cpu_end.max(self.radio_end)
     }
 
-    /// Latency the CPU/radio overlap hid (see [`Pipeline::overlap_saved`]).
+    /// Latency the CPU/radio overlap hid: the work charged across both
+    /// lanes less the window's span. Zero when nothing overlapped.
     pub fn overlap_saved(&self) -> SimDuration {
-        self.pipe.overlap_saved()
+        self.busy.saturating_sub(self.end().since(self.start))
     }
 }
 
 /// A deterministic discrete-event queue over virtual time.
 ///
-/// [`Pipeline`] handles a *fixed* set of lanes whose work is scheduled
+/// [`FusedLanes`] handles a *fixed* pair of lanes whose work is scheduled
 /// up-front; a [`Timeline`] generalises it to a *dynamic* population of
 /// concurrent lanes — the fleet scheduler's in-flight migrations — whose
 /// next step is only known as earlier steps complete. Events fire in
@@ -311,76 +209,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_lane_matches_serial() {
-        let mut p = Pipeline::begin(SimTime::from_secs(5));
-        let l = p.lane();
-        p.run(l, SimDuration::from_secs(2));
-        p.run(l, SimDuration::from_secs(3));
-        assert_eq!(p.end(), SimTime::from_secs(10));
-        assert_eq!(p.wall(), SimDuration::from_secs(5));
-        assert_eq!(p.busy(), SimDuration::from_secs(5));
-        assert_eq!(p.overlap_saved(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn parallel_lanes_overlap() {
-        let mut p = Pipeline::begin(SimTime::ZERO);
-        let cpu = p.lane();
-        let radio = p.lane();
-        let flash = p.lane();
-        p.run(cpu, SimDuration::from_millis(400));
-        p.run(radio, SimDuration::from_millis(900));
-        p.run(flash, SimDuration::from_millis(250));
-        assert_eq!(p.wall(), SimDuration::from_millis(900));
-        assert_eq!(p.busy(), SimDuration::from_millis(1550));
-        assert_eq!(p.overlap_saved(), SimDuration::from_millis(650));
-    }
-
-    #[test]
-    fn run_after_waits_for_readiness() {
-        let mut p = Pipeline::begin(SimTime::ZERO);
-        let cpu = p.lane();
-        let radio = p.lane();
-        let (_, compressed) = p.run(cpu, SimDuration::from_secs(2));
-        // The radio can only start once the first output exists.
-        let (start, end) = p.run_after(radio, compressed, SimDuration::from_secs(3));
-        assert_eq!(start, SimTime::from_secs(2));
-        assert_eq!(end, SimTime::from_secs(5));
-        // Lane cursors are in-order: later work on the radio lane queues
-        // behind the first even if its input was ready earlier.
-        let (s2, _) = p.run_after(radio, SimTime::from_secs(1), SimDuration::from_secs(1));
-        assert_eq!(s2, SimTime::from_secs(5));
-        assert_eq!(p.end(), SimTime::from_secs(6));
-    }
-
-    #[test]
-    fn empty_pipeline_spans_nothing() {
-        let p = Pipeline::begin(SimTime::from_secs(7));
-        assert_eq!(p.end(), SimTime::from_secs(7));
-        assert_eq!(p.wall(), SimDuration::ZERO);
-        assert_eq!(p.overlap_saved(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn fused_lanes_match_a_hand_built_pipeline() {
+    fn fused_lanes_overlap_the_radio_from_one_items_lead() {
         let start = SimTime::from_secs(10);
-        let cpu_work = SimDuration::from_millis(4000);
-        let air = SimDuration::from_millis(9000);
-        let items = 7u64;
-
-        let mut manual = Pipeline::begin(start);
-        let cpu = manual.lane();
-        let radio = manual.lane();
-        let lead = cpu_work / items;
-        let cpu_window = manual.run(cpu, cpu_work);
-        manual.run_after(radio, start + lead, air);
-
-        let mut fused = FusedLanes::begin(start, cpu_work, items);
-        assert_eq!(fused.radio_ready(), start + lead);
-        assert_eq!(fused.cpu_window(), cpu_window);
-        fused.run_radio(air);
-        assert_eq!(fused.end(), manual.end());
-        assert_eq!(fused.overlap_saved(), manual.overlap_saved());
+        let mut fused = FusedLanes::begin(start, SimDuration::from_millis(4000), 7);
+        // The lead is one of seven items' CPU time, truncated to the
+        // nanosecond: 571,428,571 ns.
+        assert_eq!(fused.radio_ready(), SimTime::from_nanos(10_571_428_571));
+        assert_eq!(fused.cpu_window(), (start, SimTime::from_secs(14)));
+        fused.run_radio(SimDuration::from_millis(9000));
+        assert_eq!(fused.end(), SimTime::from_nanos(19_571_428_571));
+        // 13 s of work over a 9.571428571 s window.
+        assert_eq!(
+            fused.overlap_saved(),
+            SimDuration::from_nanos(3_428_571_429)
+        );
+        // The radio lane is in-order: a second flow queues behind the
+        // first, although its input was ready long before.
+        fused.run_radio(SimDuration::from_secs(1));
+        assert_eq!(fused.end(), SimTime::from_nanos(20_571_428_571));
+        assert_eq!(
+            fused.overlap_saved(),
+            SimDuration::from_nanos(3_428_571_429)
+        );
     }
 
     #[test]

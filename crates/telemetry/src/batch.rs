@@ -3,22 +3,23 @@
 //!
 //! A fleet executes every request of a batch up front and admits the
 //! requests later, one at a time, each at an instant of its own. A *batch
-//! hub* ([`Telemetry::batch`]) records the runs one after another, each as
-//! it would have recorded into a fresh hub of its own, and
-//! [`Telemetry::end_part`] cuts each run's record off as a [`Part`]: its
-//! spans, its instants, its gauge writes and the lanes a fresh hub would
-//! have interned for it. At the run's admission, [`Telemetry::admit_part`]
-//! moves the part into the world hub with every timestamp shifted by the
-//! same amount. Once the last part is in, [`Telemetry::merge_batch`]
-//! merges the batch's counters and histograms in one pass.
+//! hub* ([`Telemetry::batch`]) opens with the world hub's lanes and
+//! records the runs one after another, each as it would have recorded
+//! into a fresh hub of its own, and [`Telemetry::end_part`] cuts each
+//! run's record off as a [`Part`]: its spans, its instants and its gauge
+//! writes. At the run's admission, [`Telemetry::admit_part`] moves the
+//! part into the world hub with every timestamp shifted by the same
+//! amount. Once the last part is in, [`Telemetry::merge_batch`] merges the
+//! batch's counters and histograms in one pass.
 //!
 //! The result is byte-identical to recording each run into a fresh hub,
 //! finishing that hub at the run's end and folding it in whole at the
-//! run's admission:
+//! run's admission, matching its lanes to the world hub's by name:
 //!
-//! * the part's lanes are matched **by name**, in the order a fresh hub
-//!   interned them (its world lane is the world lane); a lane the world
-//!   hub lacks registers at the first admission that names it;
+//! * the runs record on the world hub's own lanes, so a part's records
+//!   keep their lanes; a batch hub interns no lane
+//!   ([`Telemetry::lane`] panics on one), because a lane created there
+//!   could alias one the world hub registers after the batch opens;
 //! * spans are appended in creation order with parent links rebased to
 //!   the part's start, so the span *tree* arrives intact;
 //! * instants pass through [`Telemetry::instant`], so the world hub's
@@ -27,13 +28,14 @@
 //!   counters add and histograms merge bucket-wise, which no order
 //!   changes, so they fold in the batch hub and merge once.
 //!
-//! A run may record only on the world lane and the lanes it interned.
-//! [`Telemetry::end_part`] panics on a span or instant anywhere else,
-//! rather than let it land on another run's lane.
+//! A run may record only on the world lane and the lanes it names to
+//! [`Telemetry::end_part`]. That call panics on a span or instant
+//! anywhere else, rather than let it land on another run's lane.
 
 use crate::{Detail, LaneId, Span, SpanId, Telemetry};
 use flux_simcore::{SimDuration, SimTime};
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// What a batch hub records beyond a world hub.
 #[derive(Debug, Clone, Default)]
@@ -42,23 +44,11 @@ pub(crate) struct BatchLog {
     /// gauge's last value, but each run's writes must reach the world hub
     /// at that run's admission.
     pub(crate) gauges: Vec<(Cow<'static, str>, f64)>,
-    /// The lanes each run interned besides the world lane, run after run,
-    /// each run's in the order it first interned them.
-    lanes: Vec<LaneId>,
     /// Where the current run's part begins.
     from: Marks,
-    /// The world-hub lane each of this hub's lanes matched by name, set at
-    /// the first admission that names it. Empty until the first admission.
-    matched: Vec<Option<LaneId>>,
-}
-
-impl BatchLog {
-    /// Notes `lane` as one of the current run's lanes.
-    pub(crate) fn note_lane(&mut self, lane: LaneId) {
-        if lane != LaneId::WORLD && !self.lanes[self.from.lanes..].contains(&lane) {
-            self.lanes.push(lane);
-        }
-    }
+    /// Whether the world hub has reserved room for the whole batch, which
+    /// the first admission does.
+    reserved: bool,
 }
 
 /// Lengths of a batch hub's records at a cut between two runs.
@@ -67,11 +57,10 @@ struct Marks {
     spans: usize,
     instants: usize,
     gauges: usize,
-    lanes: usize,
 }
 
-/// One run's record in a batch hub: its spans, instants, gauge writes and
-/// lanes between two cuts. [`Telemetry::end_part`] makes it and
+/// One run's record in a batch hub: its spans, instants and gauge writes
+/// between two cuts. [`Telemetry::end_part`] makes it and
 /// [`Telemetry::admit_part`] consumes it, so a part moves at most once.
 #[derive(Debug)]
 pub struct Part {
@@ -80,36 +69,42 @@ pub struct Part {
 }
 
 impl Telemetry {
-    /// A hub to record a batch of runs into, enabled when this hub is.
-    /// See the [module docs](self).
+    /// A hub to record a batch of runs into, on this hub's lanes and
+    /// enabled when this hub is. See the [module docs](self).
     pub fn batch(&self) -> Telemetry {
         Telemetry {
             enabled: self.enabled,
+            lanes: self.lanes.clone(),
+            // A batch hub interns no lane, so it needs no index.
+            lane_index: BTreeMap::new(),
+            open: vec![Vec::new(); self.lanes.len()],
             batch: Some(BatchLog::default()),
             ..Telemetry::new()
         }
     }
 
     /// Cuts the current run's part off this batch hub at virtual time
-    /// `at`. Every span still open on the run's lanes closes at `at`, as
-    /// finishing a fresh hub at the run's end would. The next run's part
-    /// begins here.
+    /// `at`. `lanes` are the run's lanes besides the world lane (the
+    /// devices it ran on). Every span still open on the world lane or on
+    /// `lanes` closes at `at`, as finishing a fresh hub at the run's end
+    /// would. The next run's part begins here.
     ///
     /// Panics on a world hub, and when the part holds a span or an
-    /// instant on a lane that is neither the world lane nor one the run
-    /// interned.
-    pub fn end_part(&mut self, at: SimTime) -> Part {
-        let mut log = self.batch.take().expect("end_part needs a batch hub");
-        let from = log.from;
-        let run_lanes = &log.lanes[from.lanes..];
-        for &lane in std::iter::once(&LaneId::WORLD).chain(run_lanes) {
+    /// instant on a lane that is neither the world lane nor in `lanes`.
+    pub fn end_part(&mut self, at: SimTime, lanes: &[LaneId]) -> Part {
+        let from = self
+            .batch
+            .as_ref()
+            .expect("end_part needs a batch hub")
+            .from;
+        for &lane in std::iter::once(&LaneId::WORLD).chain(lanes) {
             self.finish_lane(lane, at);
         }
-        let on_run_lane = |lane: LaneId| lane == LaneId::WORLD || run_lanes.contains(&lane);
+        let on_run_lane = |lane: LaneId| lane == LaneId::WORLD || lanes.contains(&lane);
         for span in &self.spans[from.spans..] {
             assert!(
                 on_run_lane(span.lane),
-                "span `{}` is on lane {}, which the run did not intern",
+                "span `{}` is on lane {}, which is not one of the run's lanes",
                 span.name,
                 span.lane.0
             );
@@ -117,36 +112,38 @@ impl Telemetry {
         for ev in &self.instants[from.instants..] {
             assert!(
                 on_run_lane(ev.lane),
-                "instant `{}` is on lane {}, which the run did not intern",
+                "instant `{}` is on lane {}, which is not one of the run's lanes",
                 ev.name,
                 ev.lane.0
             );
         }
+        let log = self.batch.as_mut().expect("a batch hub");
         let to = Marks {
             spans: self.spans.len(),
             instants: self.instants.len(),
             gauges: log.gauges.len(),
-            lanes: log.lanes.len(),
         };
         log.from = to;
-        self.batch = Some(log);
         Part { from, to }
     }
 
-    /// Moves `part` of the batch hub `batch` into this hub, displacing
-    /// every timestamp `shift` later. The part's names and details move
-    /// here rather than being copied. The first admission from a batch
-    /// reserves room for all of its spans and instants. See the
-    /// [module docs](self) for the merge contract. No-op when this hub is
-    /// disabled.
+    /// Moves `part` of the batch hub `batch`, which must have been opened
+    /// from this hub, into this hub, displacing every timestamp `shift`
+    /// later. The part's names and details move here rather than being
+    /// copied. The first admission from a batch reserves room for all of
+    /// its spans and instants. See the [module docs](self) for the merge
+    /// contract. No-op when this hub is disabled.
     pub fn admit_part(&mut self, batch: &mut Telemetry, part: Part, shift: SimDuration) {
         if !self.enabled {
             return;
         }
         let log = batch.batch.as_mut().expect("admit_part needs a batch hub");
-        if log.matched.is_empty() {
-            log.matched = vec![None; batch.lanes.len()];
-            log.matched[0] = Some(LaneId::WORLD);
+        if !log.reserved {
+            log.reserved = true;
+            assert!(
+                self.lanes.starts_with(&batch.lanes),
+                "a batch hub's parts move only into the hub it was opened from"
+            );
             self.spans.reserve(batch.spans.len());
             // A cap lowered below the log's length leaves no room.
             let room = self
@@ -154,21 +151,13 @@ impl Telemetry {
                 .map_or(usize::MAX, |cap| cap.saturating_sub(self.instants.len()));
             self.instants.reserve(batch.instants.len().min(room));
         }
-        for &lane in &log.lanes[part.from.lanes..part.to.lanes] {
-            let slot = &mut log.matched[lane.0 as usize];
-            if slot.is_none() {
-                *slot = Some(self.lane(&batch.lanes[lane.0 as usize]));
-            }
-        }
-        let matched = &log.matched;
-        let lane = |lane: LaneId| matched[lane.0 as usize].expect("a part's lanes are matched");
 
         let base = self.spans.len() as u32;
         let first = part.from.spans as u32;
         let spans = &mut batch.spans[part.from.spans..part.to.spans];
         self.spans.extend(spans.iter_mut().map(|span| Span {
             name: std::mem::take(&mut span.name),
-            lane: lane(span.lane),
+            lane: span.lane,
             parent: span.parent.map(|p| SpanId(base + (p.0 - first))),
             start: span.start + shift,
             end: span.end.map(|e| e + shift),
@@ -176,7 +165,7 @@ impl Telemetry {
         for ev in &mut batch.instants[part.from.instants..part.to.instants] {
             let detail = std::mem::replace(&mut ev.detail, Detail::Text(String::new()));
             let name = std::mem::take(&mut ev.name);
-            self.instant(lane(ev.lane), ev.kind, name, ev.at + shift, detail);
+            self.instant(ev.lane, ev.kind, name, ev.at + shift, detail);
         }
         for (name, value) in &mut log.gauges[part.from.gauges..part.to.gauges] {
             self.metrics.gauge_set(std::mem::take(name), *value);
@@ -214,6 +203,7 @@ mod tests {
     fn part_moves_records_under_the_merge_contract() {
         let mut world = Telemetry::new();
         let phone = world.lane("phone");
+        let tablet = world.lane("tablet");
         let before = world.enter(phone, "before", t(0));
         world.exit(before, t(1));
         world.emit(t(0), "first", "kept");
@@ -225,11 +215,9 @@ mod tests {
         // The first run records on the world lane only and admits last.
         batch.counter_add("flux.c", 4);
         batch.gauge_set("flux.g", 1.0);
-        let first = batch.end_part(t(1));
-        let tablet = batch.lane("tablet");
-        let batch_phone = batch.lane("phone");
-        batch.enter(batch_phone, "outer", t(1));
-        batch.enter(batch_phone, format!("replay.svc.{}", "alarm"), t(2));
+        let first = batch.end_part(t(1), &[]);
+        batch.enter(phone, "outer", t(1));
+        batch.enter(phone, format!("replay.svc.{}", "alarm"), t(2));
         let chunk = Detail::Chunk {
             bytes: ByteSize::from_kib(256),
             duration: SimDuration::from_millis(92),
@@ -241,12 +229,13 @@ mod tests {
         batch.gauge_set("flux.g", 7.5);
         batch.observe("flux.h", 50);
         batch.counter_add("flux.new", 3);
-        let second = batch.end_part(t(3));
+        let second = batch.end_part(t(3), &[phone, tablet]);
 
+        // The world registers a lane after the batch opened, as each
+        // flight's `fleet.m{id}` lane is; the runs' records keep theirs.
+        world.lane("fleet.m001");
         world.admit_part(&mut batch, second, SimDuration::from_millis(10));
-        // Lanes match by name, in the order the run interned them; the
-        // run's world lane is this world lane.
-        assert_eq!(world.lanes(), ["world", "phone", "tablet"]);
+        assert_eq!(world.lanes(), ["world", "phone", "tablet", "fleet.m001"]);
         let spans = world.spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(
@@ -269,7 +258,7 @@ mod tests {
         assert_eq!(world.instants().len(), 2);
         assert_eq!(world.dropped_events(), 1);
         let moved = &world.instants()[1];
-        assert_eq!((moved.lane, moved.at), (LaneId(2), t(12)));
+        assert_eq!((moved.lane, moved.at), (tablet, t(12)));
         assert_eq!(moved.detail, chunk);
         // Gauges apply at admission: the later admission wins, whatever
         // order the runs executed in.
@@ -288,15 +277,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "span `stray` is on lane 1, which the run did not intern")]
+    #[should_panic(expected = "span `stray` is on lane 1, which is not one of the run's lanes")]
     fn end_part_refuses_a_span_on_a_lane_the_run_did_not_intern() {
-        let mut batch = Telemetry::new().batch();
-        let a = batch.lane("a");
-        batch.end_part(t(0));
-        // The second run records on the first run's lane without
-        // interning it.
+        let mut world = Telemetry::new();
+        let a = world.lane("a");
+        let b = world.lane("b");
+        let mut batch = world.batch();
+        batch.end_part(t(0), &[a]);
+        // The second run, on lane b, records on the first run's lane.
         batch.enter(a, "stray", t(1));
-        batch.end_part(t(2));
+        batch.end_part(t(2), &[b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane `fleet.m001` interned on a batch hub")]
+    fn lane_panics_on_a_batch_hub() {
+        let mut world = Telemetry::new();
+        world.lane("phone");
+        let mut batch = world.batch();
+        // Lane 2 here would alias the next lane the world registers.
+        batch.lane("fleet.m001");
+    }
+
+    #[test]
+    #[should_panic(expected = "move only into the hub it was opened from")]
+    fn admit_part_refuses_a_batch_of_another_hub() {
+        let mut other = Telemetry::new();
+        other.lane("tablet");
+        let mut batch = other.batch();
+        let part = batch.end_part(t(1), &[]);
+        let mut world = Telemetry::new();
+        world.lane("phone");
+        world.admit_part(&mut batch, part, SimDuration::ZERO);
     }
 
     /// The whole-hub merge that parts replaced, kept as the reference
@@ -389,11 +401,9 @@ mod tests {
         Run { home, guest, ops }
     }
 
-    /// Records `run` into `hub` from `t0` on, interning its lanes first as
-    /// the executor does, and returns the run's end.
-    fn record(hub: &mut Telemetry, run: &Run, t0: SimTime) -> SimTime {
-        let mut lane = |name: Option<&str>| name.map_or(LaneId::WORLD, |n| hub.lane(n));
-        let lanes = [LaneId::WORLD, lane(run.home), lane(run.guest)];
+    /// Records `run` into `hub` from `t0` on, on `lanes` (its world, home
+    /// and guest lanes), and returns the run's end.
+    fn record(hub: &mut Telemetry, run: &Run, lanes: [LaneId; 3], t0: SimTime) -> SimTime {
         let mut now = t0;
         let mut opened = Vec::new();
         for &op in &run.ops {
@@ -432,8 +442,16 @@ mod tests {
         now
     }
 
-    /// The world hub both paths start from: some lanes already
-    /// registered, a record of its own, maybe an event cap.
+    /// A run's lanes in `hub`, interning its devices' names there; a
+    /// missing device records on the world lane.
+    fn run_lanes(hub: &mut Telemetry, run: &Run) -> [LaneId; 3] {
+        let mut lane = |name: Option<&str>| name.map_or(LaneId::WORLD, |n| hub.lane(n));
+        [LaneId::WORLD, lane(run.home), lane(run.guest)]
+    }
+
+    /// The world hub both paths start from: every device lane registered,
+    /// as booting each device does, a record of its own, maybe an event
+    /// cap.
     fn world_hub(enabled: bool, lanes: &[&str], cap: Option<usize>) -> Telemetry {
         let mut hub = if enabled {
             Telemetry::new()
@@ -475,7 +493,10 @@ mod tests {
         fn part_move_matches_whole_hub_absorb(seed in any::<u64>()) {
             let mut rng = TestRng::from_seed(seed);
             let enabled = rng.usize_in(0, 8) != 0;
-            let pre: Vec<&str> = LANES.iter().copied().filter(|_| rng.usize_in(0, 2) == 0).collect();
+            let mut pre = LANES;
+            for i in (1..pre.len()).rev() {
+                pre.swap(i, rng.usize_in(0, i + 1));
+            }
             let cap = match rng.usize_in(0, 3) {
                 0 => None,
                 _ => Some(rng.usize_in(0, 60)),
@@ -498,7 +519,8 @@ mod tests {
                 .iter()
                 .map(|run| {
                     let mut hub = if enabled { Telemetry::new() } else { Telemetry::disabled() };
-                    let end = record(&mut hub, run, t0);
+                    let lanes = run_lanes(&mut hub, run);
+                    let end = record(&mut hub, run, lanes, t0);
                     hub.finish(end);
                     Some(hub)
                 })
@@ -508,14 +530,16 @@ mod tests {
                 world_step(&mut reference, k, t0 + ms(shift), step);
             }
 
-            // Parts: one batch hub, each run's part moved at its admission.
+            // Parts: one batch hub on the world's lanes, each run's part
+            // moved at its admission.
             let mut moved = world_hub(enabled, &pre, cap);
             let mut batch = moved.batch();
             let mut parts: Vec<Option<Part>> = runs
                 .iter()
                 .map(|run| {
-                    let end = record(&mut batch, run, t0);
-                    Some(batch.end_part(end))
+                    let lanes = run_lanes(&mut moved, run);
+                    let end = record(&mut batch, run, lanes, t0);
+                    Some(batch.end_part(end, &lanes[1..]))
                 })
                 .collect();
             for (k, (&i, &(shift, step))) in order.iter().zip(&steps).enumerate() {

@@ -10,10 +10,10 @@
 //!   are `Cow<'static, str>`, so recording under a name known at compile
 //!   time allocates nothing, and an event's [`Detail`] keeps a radio
 //!   chunk's numbers until an exporter writes them.
-//! * [`batch`] — a *batch hub* that records many runs one after another,
-//!   each cut off as a [`Part`] that moves into a world hub later,
-//!   shifted in time: how a fleet records its requests up front and lands
-//!   each one at its admission.
+//! * [`batch`] — a *batch hub* that records many runs one after another
+//!   on a world hub's lanes, each cut off as a [`Part`] that moves into
+//!   that hub later, shifted in time: how a fleet records its requests up
+//!   front and lands each one at its admission.
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms
 //!   under the `flux.<crate>.<name>` naming scheme, held in a `BTreeMap`
 //!   so snapshot iteration order — and therefore exporter output — is
@@ -276,22 +276,21 @@ impl Telemetry {
     // ---- lanes ----------------------------------------------------------
 
     /// Interns a lane by name, returning its id. Registering the same name
-    /// twice returns the same lane. A batch hub also notes the lane as one
-    /// of the current run's (see [`batch`]).
+    /// twice returns the same lane. Panics on a batch hub, which records
+    /// on the lanes of the hub it was opened from: a lane created there
+    /// could alias one that hub registers later (see [`batch`]).
     pub fn lane(&mut self, name: &str) -> LaneId {
-        let id = match self.lane_index.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = LaneId::at(self.lanes.len());
-                self.lanes.push(name.to_owned());
-                self.lane_index.insert(name.to_owned(), id);
-                self.open.push(Vec::new());
-                id
-            }
-        };
-        if let Some(batch) = &mut self.batch {
-            batch.note_lane(id);
+        assert!(
+            self.batch.is_none(),
+            "lane `{name}` interned on a batch hub, which records only on its world hub's lanes"
+        );
+        if let Some(&id) = self.lane_index.get(name) {
+            return id;
         }
+        let id = LaneId::at(self.lanes.len());
+        self.lanes.push(name.to_owned());
+        self.lane_index.insert(name.to_owned(), id);
+        self.open.push(Vec::new());
         id
     }
 

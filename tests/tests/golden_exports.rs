@@ -260,9 +260,58 @@ fn gauge_order_fleet() -> (FluxWorld, FleetReport) {
     (world, report)
 }
 
+/// Two fleet batches on one world. The first batch migrates one app off
+/// each of two homes and registers a `fleet.m{id}` lane per flight; the
+/// second runs on the same devices after those lanes, migrating the first
+/// home's other app beside a refusal, so its runs record on device lanes
+/// that precede flight lanes the world registered in between.
+fn two_batch_fleet() -> FluxWorld {
+    let whatsapp = spec("WhatsApp").expect("app in Table 3");
+    let twitter = spec("Twitter").expect("app in Table 3");
+    let instagram = spec("Instagram").expect("app in Table 3");
+    let (mut world, ids) = WorldBuilder::new()
+        .seed(5353)
+        .device("h1", DeviceProfile::nexus4())
+        .device("g1", DeviceProfile::nexus7_2013())
+        .device("h2", DeviceProfile::nexus4())
+        .device("g2", DeviceProfile::nexus7_2013())
+        .app(0, whatsapp.clone())
+        .app(0, twitter.clone())
+        .app(2, instagram.clone())
+        .build()
+        .unwrap();
+    let [h1, g1, h2, g2] = ids[..] else {
+        unreachable!("four devices")
+    };
+    for (device, app) in [(h1, &whatsapp), (h1, &twitter), (h2, &instagram)] {
+        world
+            .run_script(device, &app.package, &app.actions)
+            .unwrap();
+    }
+    for (h, g) in [(h1, g1), (h2, g2)] {
+        pair(&mut world, h, g).unwrap();
+    }
+    let scheduler = FleetScheduler::new(FleetConfig::default()).unwrap();
+    let first = vec![
+        MigrationRequest::new(1, h1, g1, &whatsapp.package),
+        MigrationRequest::new(2, h2, g2, &instagram.package),
+    ];
+    let report = scheduler.run(&mut world, first).unwrap();
+    assert_eq!(report.completed, 2);
+    assert_eq!(world.telemetry.lanes()[5..], ["fleet.m001", "fleet.m002"]);
+    let second = vec![
+        MigrationRequest::new(3, h1, g1, &twitter.package),
+        MigrationRequest::new(4, h2, g2, "com.missing"),
+    ];
+    let report = scheduler.run(&mut world, second).unwrap();
+    assert_eq!((report.completed, report.refused), (1, 1));
+    finish(&mut world);
+    world
+}
+
 /// `(export, byte length, FNV-1a digest)`, in the order [`exports`]
 /// renders them.
-const PINS: [(&str, usize, u64); 12] = [
+const PINS: [(&str, usize, u64); 13] = [
     ("migration chrome_trace", 6743, 0xdea8_fbd0_eed8_9d43),
     ("migration json_snapshot", 6996, 0xae87_a95e_8b7d_2787),
     ("fleet chrome_trace", 9574, 0xc382_4220_3a45_9a6f),
@@ -291,14 +340,20 @@ const PINS: [(&str, usize, u64); 12] = [
         18367,
         0xc20d_265c_52d8_2667,
     ),
+    (
+        "two-batch fleet json_snapshot",
+        18381,
+        0x89d3_7ccb_a9f8_f0eb,
+    ),
 ];
 
-fn exports() -> [String; 12] {
+fn exports() -> [String; 13] {
     let migration = faulted_migration();
     let (fleet, report) = small_fleet();
     let (contended, contended_report) = contended_fleet();
     let (shared, shared_report) = shared_guest_fleet();
     let (gauge_order, _) = gauge_order_fleet();
+    let two_batch = two_batch_fleet();
     [
         chrome_trace(&migration.telemetry),
         json_snapshot(&migration.telemetry),
@@ -312,6 +367,7 @@ fn exports() -> [String; 12] {
         json_snapshot(&shared.telemetry),
         serde::to_json(&shared_report),
         json_snapshot(&gauge_order.telemetry),
+        json_snapshot(&two_batch.telemetry),
     ]
 }
 
