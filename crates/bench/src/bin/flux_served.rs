@@ -77,34 +77,31 @@ fn parse_args() -> (String, Option<String>, ScenarioSpec, ServiceConfig) {
     (root, listen, spec, cfg)
 }
 
-/// Serves one TCP connection until QUIT, EOF, or an I/O error.
-fn serve_connection(core: &Arc<Mutex<ServiceCore>>, stream: TcpStream) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".into());
-    let reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
+/// Serves the protocol on one session until QUIT, EOF, or an I/O error.
+fn serve(core: &Arc<Mutex<ServiceCore>>, input: impl BufRead, mut output: impl Write) {
+    for line in input.lines() {
         let Ok(line) = line else { break };
         // The shared handler keeps the core lock brief: a STEP executes
         // its batch with the lock released, so observers on other
         // connections get answers while it is in flight.
         let response = handle_line_shared(core, &line);
-        if response
-            .write_to(&mut writer)
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
-        }
-        if response.is_quit() {
+        let written = response.write_to(&mut output).and_then(|()| output.flush());
+        if written.is_err() || response.is_quit() {
             break;
         }
     }
+}
+
+/// Serves one TCP connection, then logs that its peer disconnected.
+fn serve_connection(core: &Arc<Mutex<ServiceCore>>, stream: TcpStream) {
+    let peer = stream
+        .peer_addr()
+        .map(|a| a.to_string())
+        .unwrap_or_else(|_| "?".into());
+    let Ok(reader) = stream.try_clone() else {
+        return;
+    };
+    serve(core, BufReader::new(reader), BufWriter::new(stream));
     eprintln!("flux-served: {peer} disconnected");
 }
 
@@ -151,20 +148,5 @@ fn main() {
     }
 
     // The controlling session: same protocol on stdin/stdout.
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        let response = handle_line_shared(&core, &line);
-        if response
-            .write_to(&mut stdout)
-            .and_then(|()| stdout.flush())
-            .is_err()
-        {
-            break;
-        }
-        if response.is_quit() {
-            break;
-        }
-    }
+    serve(&core, std::io::stdin().lock(), std::io::stdout());
 }

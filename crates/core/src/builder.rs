@@ -35,25 +35,13 @@ use flux_simcore::{FaultPlan, SimClock};
 use flux_telemetry::Telemetry;
 use flux_workloads::AppSpec;
 
-/// The wireless environment a world is born into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetworkKind {
-    /// Busy campus WiFi: contention, jitter, occasional congestion.
-    #[default]
-    Campus,
-    /// A quiet, near-ideal link (used for controlled experiments).
-    Quiet,
-}
-
 /// Declarative [`FluxWorld`] construction. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct WorldBuilder {
     seed: u64,
-    network: NetworkKind,
     recording: bool,
     policy: ReplayPolicy,
     fault_plan: FaultPlan,
-    telemetry: bool,
     event_capacity: Option<usize>,
     devices: Vec<(String, DeviceProfile)>,
     apps: Vec<(usize, AppSpec)>,
@@ -61,12 +49,10 @@ pub struct WorldBuilder {
 }
 
 impl WorldBuilder {
-    /// Starts a builder: seed 0, campus network, recording on, telemetry
-    /// on, no faults.
+    /// Starts a builder: seed 0, campus network, recording on, no faults.
     pub fn new() -> Self {
         Self {
             recording: true,
-            telemetry: true,
             ..Self::default()
         }
     }
@@ -74,12 +60,6 @@ impl WorldBuilder {
     /// Sets the RNG seed every stochastic stream derives from.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Picks the wireless environment (default: campus).
-    pub fn network(mut self, kind: NetworkKind) -> Self {
-        self.network = kind;
         self
     }
 
@@ -100,14 +80,6 @@ impl WorldBuilder {
     /// byte-identical to a world without fault injection.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Enables or disables telemetry (default: on). A disabled hub drops
-    /// every span, event and metric at the first branch; virtual time is
-    /// unaffected either way.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
         self
     }
 
@@ -142,20 +114,13 @@ impl WorldBuilder {
     /// Builds the world: boots devices, deploys apps, performs pairings.
     /// Returns the world and the [`DeviceId`]s in declaration order.
     pub fn build(self) -> Result<(FluxWorld, Vec<DeviceId>), FluxError> {
-        let mut telemetry = if self.telemetry {
-            Telemetry::new()
-        } else {
-            Telemetry::disabled()
-        };
+        let mut telemetry = Telemetry::new();
         if let Some(limit) = self.event_capacity {
             telemetry.set_event_capacity(limit);
         }
         let mut world = FluxWorld {
             clock: SimClock::new(),
-            net: match self.network {
-                NetworkKind::Campus => NetworkEnv::campus(self.seed),
-                NetworkKind::Quiet => NetworkEnv::quiet(self.seed),
-            },
+            net: NetworkEnv::campus(self.seed),
             telemetry,
             policy: self.policy,
             recording: self.recording,
@@ -249,27 +214,6 @@ mod tests {
             built.device(ids[0]).unwrap().apps.len(),
             legacy.device(phone).unwrap().apps.len()
         );
-    }
-
-    #[test]
-    fn telemetry_off_records_nothing_and_changes_no_time() {
-        let build = |telemetry: bool| {
-            WorldBuilder::new()
-                .seed(9)
-                .telemetry(telemetry)
-                .device("phone", DeviceProfile::nexus4())
-                .device("tablet", DeviceProfile::nexus7_2013())
-                .app(0, spec("WhatsApp").expect("spec"))
-                .pair(0, 1)
-                .build()
-                .expect("build")
-        };
-        let (on, _) = build(true);
-        let (off, _) = build(false);
-        assert_eq!(on.clock.now(), off.clock.now());
-        assert!(!off.telemetry.is_enabled());
-        assert!(off.telemetry.instants().is_empty());
-        assert!(!on.telemetry.instants().is_empty());
     }
 
     #[test]

@@ -292,9 +292,6 @@ impl<'a> StageCtx<'a> {
         total: SimDuration,
         weights: &[(&'static str, u64)],
     ) {
-        if !self.world.telemetry.is_enabled() || weights.is_empty() {
-            return;
-        }
         let weight_sum: u64 = weights.iter().map(|(_, w)| *w).sum::<u64>().max(1);
         let total_ns = total.as_nanos();
         let mut cursor = start;

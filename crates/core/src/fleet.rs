@@ -904,18 +904,6 @@ fn step_flight(
     true
 }
 
-/// Runs `requests` under [`FleetConfig::default`].
-///
-/// # Errors
-///
-/// As for [`FleetScheduler::run`].
-pub fn run_fleet(
-    world: &mut FluxWorld,
-    requests: Vec<MigrationRequest>,
-) -> Result<FleetReport, FluxError> {
-    FleetScheduler::new(FleetConfig::default())?.run(world, requests)
-}
-
 /// A flight's span had it run alone in its home cell — exactly the slice a
 /// `max_in_flight = 1` schedule would give it on a roam-free topology: CPU
 /// slices at face value, radio windows at the cell's solo drain.

@@ -67,8 +67,7 @@ pub use executor::{
     ExecutedMigration, Executor, SerialExecutor, Slice, SliceKind, FLEET_RNG_STREAM,
 };
 pub use fleet::{
-    run_fleet, FleetConfig, FleetOutcome, FleetReport, FleetScheduler, FlightRecord,
-    MigrationRequest,
+    FleetConfig, FleetOutcome, FleetReport, FleetScheduler, FlightRecord, MigrationRequest,
 };
 // Re-exported because [`LifecycleSchedule::At`] and
 // [`MigrationRequest::with_interrupt`] take it.

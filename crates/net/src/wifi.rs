@@ -94,18 +94,6 @@ impl NetworkEnv {
         }
     }
 
-    /// An uncontended lab network (used by ablation benches).
-    pub fn quiet(seed: u64) -> Self {
-        Self {
-            mac_efficiency: 0.55,
-            congestion_2_4: 0.9,
-            congestion_5: 0.95,
-            setup_latency: SimDuration::from_millis(60),
-            jitter: 0.03,
-            rng: SimRng::seed(seed),
-        }
-    }
-
     /// Derives a child RNG from the environment's jitter stream, labelled
     /// by `stream` — the [`SimRng::fork`] discipline. Consumes exactly one
     /// draw from the environment regardless of how many children are later
@@ -722,14 +710,5 @@ mod tests {
             (first.bytes_delivered + second.bytes_delivered).as_u64(),
             bytes.as_u64()
         );
-    }
-
-    #[test]
-    fn quiet_network_is_faster_than_campus() {
-        let mut campus = NetworkEnv::campus(3);
-        let mut quiet = NetworkEnv::quiet(3);
-        let tc = campus.transfer(ByteSize::from_mib(10), &n_single(), &n_single());
-        let tq = quiet.transfer(ByteSize::from_mib(10), &n_single(), &n_single());
-        assert!(tq.duration < tc.duration);
     }
 }

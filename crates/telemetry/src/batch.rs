@@ -69,11 +69,10 @@ pub struct Part {
 }
 
 impl Telemetry {
-    /// A hub to record a batch of runs into, on this hub's lanes and
-    /// enabled when this hub is. See the [module docs](self).
+    /// A hub to record a batch of runs into, on this hub's lanes. See the
+    /// [module docs](self).
     pub fn batch(&self) -> Telemetry {
         Telemetry {
-            enabled: self.enabled,
             lanes: self.lanes.clone(),
             // A batch hub interns no lane, so it needs no index.
             lane_index: BTreeMap::new(),
@@ -132,11 +131,8 @@ impl Telemetry {
     /// later. The part's names and details move here rather than being
     /// copied. The first admission from a batch reserves room for all of
     /// its spans and instants. See the [module docs](self) for the merge
-    /// contract. No-op when this hub is disabled.
+    /// contract.
     pub fn admit_part(&mut self, batch: &mut Telemetry, part: Part, shift: SimDuration) {
-        if !self.enabled {
-            return;
-        }
         let log = batch.batch.as_mut().expect("admit_part needs a batch hub");
         if !log.reserved {
             log.reserved = true;
@@ -175,12 +171,10 @@ impl Telemetry {
     /// Merges the counters and histograms every run recorded into
     /// `batch`: counters add and histograms merge bucket-wise, as folding
     /// each run's in at its admission would have. Call once, after the
-    /// batch's last part is admitted. No-op when this hub is disabled.
+    /// batch's last part is admitted.
     pub fn merge_batch(&mut self, batch: &mut Telemetry) {
         assert!(batch.batch.is_some(), "merge_batch needs a batch hub");
-        if self.enabled {
-            self.metrics.merge_from(std::mem::take(&mut batch.metrics));
-        }
+        self.metrics.merge_from(std::mem::take(&mut batch.metrics));
     }
 }
 
@@ -314,9 +308,6 @@ mod tests {
     /// The whole-hub merge that parts replaced, kept as the reference
     /// model: `other` is one run's fresh hub, finished at the run's end.
     fn absorb(hub: &mut Telemetry, other: Telemetry, shift: SimDuration) {
-        if !hub.enabled {
-            return;
-        }
         let lane_map: Vec<LaneId> = other.lanes.iter().map(|n| hub.lane(n)).collect();
         let base = hub.spans.len() as u32;
         hub.spans.extend(other.spans.into_iter().map(|span| Span {
@@ -452,12 +443,8 @@ mod tests {
     /// The world hub both paths start from: every device lane registered,
     /// as booting each device does, a record of its own, maybe an event
     /// cap.
-    fn world_hub(enabled: bool, lanes: &[&str], cap: Option<usize>) -> Telemetry {
-        let mut hub = if enabled {
-            Telemetry::new()
-        } else {
-            Telemetry::disabled()
-        };
+    fn world_hub(lanes: &[&str], cap: Option<usize>) -> Telemetry {
+        let mut hub = Telemetry::new();
         for name in lanes {
             let lane = hub.lane(name);
             hub.record_complete(lane, "boot", t(0), t(1));
@@ -492,7 +479,6 @@ mod tests {
         #[test]
         fn part_move_matches_whole_hub_absorb(seed in any::<u64>()) {
             let mut rng = TestRng::from_seed(seed);
-            let enabled = rng.usize_in(0, 8) != 0;
             let mut pre = LANES;
             for i in (1..pre.len()).rev() {
                 pre.swap(i, rng.usize_in(0, i + 1));
@@ -514,11 +500,11 @@ mod tests {
 
             // The reference: a fresh hub per run, finished at the run's
             // end and absorbed whole at its admission.
-            let mut reference = world_hub(enabled, &pre, cap);
+            let mut reference = world_hub(&pre, cap);
             let mut fresh: Vec<Option<Telemetry>> = runs
                 .iter()
                 .map(|run| {
-                    let mut hub = if enabled { Telemetry::new() } else { Telemetry::disabled() };
+                    let mut hub = Telemetry::new();
                     let lanes = run_lanes(&mut hub, run);
                     let end = record(&mut hub, run, lanes, t0);
                     hub.finish(end);
@@ -532,7 +518,7 @@ mod tests {
 
             // Parts: one batch hub on the world's lanes, each run's part
             // moved at its admission.
-            let mut moved = world_hub(enabled, &pre, cap);
+            let mut moved = world_hub(&pre, cap);
             let mut batch = moved.batch();
             let mut parts: Vec<Option<Part>> = runs
                 .iter()

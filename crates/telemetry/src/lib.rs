@@ -26,9 +26,8 @@
 //!   [`serde::parse`] reads their output back.
 //!
 //! Everything is deterministic: telemetry consumes no randomness and never
-//! charges the virtual clock, so enabling it cannot perturb an experiment.
-//! A [`Telemetry::disabled`] hub drops every span, event and metric at the
-//! first branch, which is what the Figure 16 overhead worlds use.
+//! charges the virtual clock, which no hub method can reach, so recording
+//! cannot perturb an experiment.
 //!
 //! # Examples
 //!
@@ -84,28 +83,14 @@ impl LaneId {
 }
 
 /// Identifies one span within a [`Telemetry`] hub.
-///
-/// Ids from a disabled hub are inert sentinels; exiting them is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(u32);
 
 impl SpanId {
-    const NONE: SpanId = SpanId(u32::MAX);
-
-    /// Whether this id came from a disabled hub (and refers to nothing).
-    pub fn is_none(self) -> bool {
-        self == Self::NONE
-    }
-
-    /// The position of this span in [`Telemetry::spans`], or `None` for
-    /// the disabled-hub sentinel. Lets consumers of an exported span list
-    /// resolve [`Span::parent`] links.
-    pub fn index(self) -> Option<usize> {
-        if self.is_none() {
-            None
-        } else {
-            Some(self.0 as usize)
-        }
+    /// The position of this span in [`Telemetry::spans`]. Lets consumers
+    /// of an exported span list resolve [`Span::parent`] links.
+    pub fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -206,7 +191,6 @@ impl From<&str> for Detail {
 /// module says.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    enabled: bool,
     lanes: Vec<String>,
     /// `lanes` by name, so interning is a lookup rather than a scan.
     lane_index: BTreeMap<String, LaneId>,
@@ -230,10 +214,9 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Creates an enabled hub with the world lane registered.
+    /// Creates a hub with the world lane registered.
     pub fn new() -> Self {
         Self {
-            enabled: true,
             lanes: vec!["world".to_owned()],
             lane_index: BTreeMap::from([("world".to_owned(), LaneId::WORLD)]),
             spans: Vec::new(),
@@ -244,20 +227,6 @@ impl Telemetry {
             metrics: MetricsRegistry::new(),
             batch: None,
         }
-    }
-
-    /// Creates a disabled hub: every span, event and metric is dropped at
-    /// the first branch. Used by overhead-comparison worlds and benches.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::new()
-        }
-    }
-
-    /// Whether the hub records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Caps the instant-event list at `limit` entries; events beyond the
@@ -324,9 +293,6 @@ impl Telemetry {
         name: impl Into<Cow<'static, str>>,
         at: SimTime,
     ) -> SpanId {
-        if !self.enabled {
-            return SpanId::NONE;
-        }
         let lane_ix = self.lane_ix(lane);
         let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
         let id = self.spans.len() as u32;
@@ -343,12 +309,8 @@ impl Telemetry {
 
     /// Closes span `id` at virtual time `at`. Any children still open on
     /// the same lane are closed at the same instant, so spans always nest
-    /// strictly. Exiting an already-closed span (or a disabled-hub
-    /// sentinel) is a no-op.
+    /// strictly. Exiting an already-closed span is a no-op.
     pub fn exit(&mut self, id: SpanId, at: SimTime) {
-        if !self.enabled || id.is_none() {
-            return;
-        }
         let Some(span) = self.spans.get(id.0 as usize) else {
             return;
         };
@@ -378,9 +340,6 @@ impl Telemetry {
         start: SimTime,
         end: SimTime,
     ) {
-        if !self.enabled {
-            return;
-        }
         let lane_ix = self.lane_ix(lane);
         let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
         self.spans.push(Span {
@@ -397,9 +356,6 @@ impl Telemetry {
     /// abandoned by an early return before continuing on another lane.
     /// Panics when the hub has no such lane.
     pub fn finish_lane(&mut self, lane: LaneId, at: SimTime) {
-        if !self.enabled {
-            return;
-        }
         let lane_ix = self.lane_ix(lane);
         while let Some(top) = self.open[lane_ix].pop() {
             if self.spans[top as usize].end.is_none() {
@@ -411,9 +367,6 @@ impl Telemetry {
     /// Closes every span still open, at virtual time `at`. Call before
     /// exporting so the trace contains no dangling intervals.
     pub fn finish(&mut self, at: SimTime) {
-        if !self.enabled {
-            return;
-        }
         for stack in &mut self.open {
             while let Some(top) = stack.pop() {
                 if self.spans[top as usize].end.is_none() {
@@ -449,9 +402,6 @@ impl Telemetry {
         at: SimTime,
         detail: impl Into<Detail>,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.lane_ix(lane);
         if self
             .event_capacity
@@ -502,52 +452,37 @@ impl Telemetry {
         &self.metrics
     }
 
-    /// Mutable access to the metrics registry (for registration).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// Adds `delta` to the counter `name`, creating it at zero on first
-    /// use. No-op when disabled.
+    /// use.
     pub fn counter_add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
-        if self.enabled {
-            self.metrics.counter_add(name, delta);
-        }
+        self.metrics.counter_add(name, delta);
     }
 
     /// Sets the counter `name` to an absolute value (idempotent harvest;
-    /// see [`MetricsRegistry::counter_set`]). No-op when disabled. Panics
-    /// on a batch hub, whose counters sum every run's: a set there would
-    /// overwrite the other runs' counts.
+    /// see [`MetricsRegistry::counter_set`]). Panics on a batch hub, whose
+    /// counters sum every run's: a set there would overwrite the other
+    /// runs' counts.
     pub fn counter_set(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
         assert!(
             self.batch.is_none(),
             "counter_set on a batch hub would overwrite its other runs' counts"
         );
-        if self.enabled {
-            self.metrics.counter_set(name, value);
-        }
+        self.metrics.counter_set(name, value);
     }
 
-    /// Sets the gauge `name` to `value`. No-op when disabled. A batch hub
-    /// logs the write instead, so each run's writes reach the world hub
-    /// when its part is admitted (see [`batch`]).
+    /// Sets the gauge `name` to `value`. A batch hub logs the write
+    /// instead, so each run's writes reach the world hub when its part is
+    /// admitted (see [`batch`]).
     pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
-        if !self.enabled {
-            return;
-        }
         match &mut self.batch {
             Some(batch) => batch.gauges.push((name.into(), value)),
             None => self.metrics.gauge_set(name, value),
         }
     }
 
-    /// Observes `value` in the histogram `name` (auto-registered with the
-    /// default millisecond buckets on first use). No-op when disabled.
+    /// Observes `value` in the histogram `name`, creating it on first use.
     pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
-        if self.enabled {
-            self.metrics.observe(name, value);
-        }
+        self.metrics.observe(name, value);
     }
 }
 
@@ -614,20 +549,6 @@ mod tests {
         // Double exit is a no-op.
         tele.exit(outer, t(9));
         assert_eq!(tele.spans()[0].end, Some(t(5)));
-    }
-
-    #[test]
-    fn disabled_hub_records_nothing() {
-        let mut tele = Telemetry::disabled();
-        let lane = tele.lane("dev");
-        let id = tele.enter(lane, "x", t(0));
-        assert!(id.is_none());
-        tele.exit(id, t(1));
-        tele.instant(lane, TraceKind::Fault, "f", t(1), "boom");
-        tele.counter_add("flux.x", 1);
-        assert!(tele.spans().is_empty());
-        assert!(tele.instants().is_empty());
-        assert_eq!(tele.metrics().iter().count(), 0);
     }
 
     #[test]
@@ -730,8 +651,8 @@ mod tests {
     }
 }
 
-/// Tests of the instant-event log, the run's trace: its capacity, its
-/// drop count and the disabled hub.
+/// Tests of the instant-event log, the run's trace: its capacity and its
+/// drop count.
 #[cfg(test)]
 mod trace {
     mod tests {
@@ -776,18 +697,6 @@ mod trace {
                 tele.emit(t(i), "spam", "x");
             }
             assert_eq!(tele.instants().len(), 1_000);
-            assert_eq!(tele.dropped_events(), 0);
-        }
-
-        #[test]
-        fn disabled_trace_drops_events() {
-            // Dropped at the first branch: not kept, and not counted even
-            // under a zero cap.
-            let mut tele = Telemetry::disabled();
-            tele.set_event_capacity(0);
-            tele.emit(t(0), "x", "y");
-            tele.emit_kind(t(1), TraceKind::Fault, "x", "y");
-            assert!(tele.instants().is_empty());
             assert_eq!(tele.dropped_events(), 0);
         }
     }

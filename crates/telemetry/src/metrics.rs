@@ -10,41 +10,28 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Bucket bounds of [`Histogram::default_latency_ms`]: 1 ms .. ~2 min.
-/// Every default histogram borrows this one table.
-static DEFAULT_LATENCY_MS: [u64; 16] = [
+/// Bucket upper bounds every histogram shares, for millisecond-scale
+/// latencies: 1 ms .. ~2 min.
+const BOUNDS: [u64; 16] = [
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 30_000, 60_000, 120_000,
 ];
 
 /// A fixed-bucket histogram over `u64` observations.
 ///
 /// Buckets are cumulative-style: `counts[i]` counts observations `v`
-/// with `v <= bounds[i]` that fell in no earlier bucket; the final slot
-/// (`counts[bounds.len()]`) is the overflow bucket.
+/// with `v <= bounds()[i]` that fell in no earlier bucket; the final slot
+/// (`counts[bounds().len()]`) is the overflow bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: Cow<'static, [u64]>,
     counts: Vec<u64>,
     count: u64,
     sum: u64,
 }
 
 impl Histogram {
-    /// Creates a histogram with the given ascending upper bounds.
-    pub fn new(bounds: &[u64]) -> Self {
-        Self::with_bounds(Cow::Owned(bounds.to_vec()))
-    }
-
-    /// Default buckets for millisecond-scale latencies: 1ms .. ~2min.
-    pub fn default_latency_ms() -> Self {
-        Self::with_bounds(Cow::Borrowed(&DEFAULT_LATENCY_MS))
-    }
-
-    fn with_bounds(bounds: Cow<'static, [u64]>) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+    fn empty() -> Self {
         Self {
-            counts: vec![0; bounds.len() + 1],
-            bounds,
+            counts: vec![0; BOUNDS.len() + 1],
             count: 0,
             sum: 0,
         }
@@ -52,34 +39,23 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
-        let slot = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[slot] += 1;
+        self.counts[BOUNDS.partition_point(|&b| b < value)] += 1;
         self.count += 1;
         self.sum += value;
     }
 
-    /// Folds `other`'s observations into this histogram. Returns `false`
-    /// (and merges nothing) when the bucket bounds differ — merged
-    /// histograms must share a bucketing scheme to stay meaningful.
-    pub fn merge_from(&mut self, other: &Histogram) -> bool {
-        if self.bounds != other.bounds {
-            return false;
-        }
+    /// Folds `other`'s observations into this histogram, bucket-wise.
+    pub fn merge_from(&mut self, other: &Histogram) {
         for (slot, n) in self.counts.iter_mut().zip(&other.counts) {
             *slot += n;
         }
         self.count += other.count;
         self.sum += other.sum;
-        true
     }
 
-    /// Bucket upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
+    /// Bucket upper bounds, the same for every histogram.
+    pub fn bounds(&self) -> &'static [u64] {
+        &BOUNDS
     }
 
     /// Per-bucket counts; the last entry is the overflow bucket.
@@ -160,24 +136,13 @@ impl MetricsRegistry {
         self.metrics.insert(name.into(), Metric::Gauge(value));
     }
 
-    /// Registers a histogram with explicit bucket bounds if `name` is not
-    /// already a histogram.
-    pub fn register_histogram(&mut self, name: impl Into<Cow<'static, str>>, bounds: &[u64]) {
-        let name = name.into();
-        if !matches!(self.metrics.get(&*name), Some(Metric::Histogram(_))) {
-            self.metrics
-                .insert(name, Metric::Histogram(Histogram::new(bounds)));
-        }
-    }
-
-    /// Observes `value` in the histogram `name`, auto-registering it with
-    /// [`Histogram::default_latency_ms`] buckets on first use.
+    /// Observes `value` in the histogram `name`, creating it on first use.
     pub fn observe(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
         let name = name.into();
         match self.metrics.get_mut(&*name) {
             Some(Metric::Histogram(h)) => h.observe(value),
             _ => {
-                let mut h = Histogram::default_latency_ms();
+                let mut h = Histogram::empty();
                 h.observe(value);
                 self.metrics.insert(name, Metric::Histogram(h));
             }
@@ -186,23 +151,18 @@ impl MetricsRegistry {
 
     /// Folds every metric of `other` into this registry, by kind:
     /// counters add, gauges take `other`'s value (last-write-wins, with the
-    /// merged registry as the later writer), histograms merge bucket-wise
-    /// when the bounds agree. On a kind mismatch — or a histogram bounds
-    /// mismatch — `other`'s value replaces this one, mirroring what
+    /// merged registry as the later writer), histograms merge bucket-wise.
+    /// On a kind mismatch `other`'s value replaces this one, mirroring what
     /// replaying `other`'s writes against this registry would do. `other`
     /// is consumed, so a replacing metric moves here with its name.
     pub fn merge_from(&mut self, other: MetricsRegistry) {
         for (name, theirs) in other.metrics {
-            let merged = match (self.metrics.get_mut(&*name), &theirs) {
-                (Some(Metric::Counter(mine)), Metric::Counter(v)) => {
-                    *mine += v;
-                    true
+            match (self.metrics.get_mut(&*name), theirs) {
+                (Some(Metric::Counter(mine)), Metric::Counter(v)) => *mine += v,
+                (Some(Metric::Histogram(mine)), Metric::Histogram(h)) => mine.merge_from(&h),
+                (_, theirs) => {
+                    self.metrics.insert(name, theirs);
                 }
-                (Some(Metric::Histogram(mine)), Metric::Histogram(h)) => mine.merge_from(h),
-                _ => false,
-            };
-            if !merged {
-                self.metrics.insert(name, theirs);
             }
         }
     }
@@ -275,14 +235,20 @@ mod tests {
 
     #[test]
     fn histogram_buckets_observations() {
-        let mut h = Histogram::new(&[10, 100]);
-        h.observe(5);
-        h.observe(10);
-        h.observe(50);
-        h.observe(1_000);
-        assert_eq!(h.counts(), &[2, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1_065);
+        let mut h = Histogram::empty();
+        // Both ends of the (5, 10] and (50, 100] buckets, and the
+        // overflow bucket past the last bound.
+        for v in [6, 10, 51, 100, 120_001] {
+            h.observe(v);
+        }
+        assert_eq!(h.bounds(), BOUNDS);
+        let mut want = [0u64; 17];
+        want[3] = 2;
+        want[6] = 2;
+        want[16] = 1;
+        assert_eq!(h.counts(), want);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 120_168);
     }
 
     #[test]
@@ -302,14 +268,5 @@ mod tests {
         m.gauge_set("flux.m", 0.0);
         let names: Vec<&str> = m.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["flux.a", "flux.m", "flux.z"]);
-    }
-
-    #[test]
-    fn register_histogram_keeps_existing() {
-        let mut m = MetricsRegistry::new();
-        m.register_histogram("flux.h", &[1, 2]);
-        m.observe("flux.h", 2);
-        m.register_histogram("flux.h", &[99]);
-        assert_eq!(m.histogram("flux.h").unwrap().bounds(), &[1, 2]);
     }
 }

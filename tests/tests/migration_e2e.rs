@@ -4,9 +4,13 @@ mod common;
 
 use common::staged_models as staged;
 use flux_binder::Parcel;
-use flux_core::{migrate, pair, FluxError, MigrationSpec, StageFailure, WorldBuilder, WorldError};
+use flux_core::{
+    migrate, pair, FluxError, MigrationSpec, ReplayPolicy, ReplayStats, StageFailure, WorldBuilder,
+    WorldError,
+};
 use flux_device::{DeviceModel, DeviceProfile};
 use flux_services::svc::alarm::AlarmManagerService;
+use flux_services::svc::location::LocationManagerService;
 use flux_services::svc::notification::NotificationManagerService;
 use flux_services::svc::sensor::SensorService;
 use flux_services::Event;
@@ -466,4 +470,67 @@ fn clipboard_call_with_replay_keeps_only_latest_clip() {
         .unwrap()
         .to_vec();
     assert_eq!(clip, vec![4u8; 64]);
+}
+
+/// Migrates GroupOn, its location request switched to the GPS provider,
+/// from a Nexus 4 onto a Nexus 7 (2013) without a GPS receiver, under
+/// `policy`. Returns the replay counts and the providers of the app's
+/// location requests on the guest.
+fn migrate_a_gps_request_onto_a_guest_without_gps(
+    policy: ReplayPolicy,
+) -> (ReplayStats, Vec<String>) {
+    let mut app = spec("GroupOn").unwrap();
+    for action in &mut app.actions {
+        if let Action::RequestLocation { provider } = action {
+            *provider = "gps".into();
+        }
+    }
+    let mut tablet = DeviceProfile::nexus7_2013();
+    tablet.hardware.gps = false;
+    let (mut world, ids) = WorldBuilder::new()
+        .seed(11)
+        .policy(policy)
+        .device("phone", DeviceProfile::nexus4())
+        .device("tablet", tablet)
+        .app(0, app.clone())
+        .pair(0, 1)
+        .build()
+        .unwrap();
+    let (home, guest) = (ids[0], ids[1]);
+    world.run_script(home, &app.package, &app.actions).unwrap();
+    let report = migrate(
+        &mut world,
+        MigrationSpec::new(&app.package).between(home, guest),
+    )
+    .unwrap();
+    let dev = world.device(guest).unwrap();
+    let uid = dev.app_uid(&app.package).unwrap();
+    let providers = dev
+        .host
+        .service::<LocationManagerService>("location")
+        .unwrap()
+        .requests_of(uid)
+        .iter()
+        .map(|r| r.provider.clone())
+        .collect();
+    (report.replay, providers)
+}
+
+#[test]
+fn gps_request_is_forwarded_to_a_guest_without_gps() {
+    // §3.2: by default the user opts in to forwarding absent hardware
+    // over the network.
+    let (replay, providers) =
+        migrate_a_gps_request_onto_a_guest_without_gps(ReplayPolicy::default());
+    assert_eq!((replay.proxied, replay.skipped), (1, 0));
+    assert_eq!(providers, ["network-forwarded:gps"]);
+}
+
+#[test]
+fn gps_request_is_dropped_on_a_guest_without_gps_when_forwarding_is_off() {
+    let (replay, providers) = migrate_a_gps_request_onto_a_guest_without_gps(ReplayPolicy {
+        forward_missing_hardware: false,
+    });
+    assert_eq!((replay.proxied, replay.skipped), (0, 1));
+    assert!(providers.is_empty(), "{providers:?}");
 }

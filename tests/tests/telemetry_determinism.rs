@@ -67,7 +67,7 @@ fn spans_are_closed_and_strictly_nested() {
         for s in spans {
             let end = s.end.expect("finish() closed every span");
             assert!(s.start <= end, "span {} runs backwards", s.name);
-            if let Some(pi) = s.parent.and_then(flux_telemetry::SpanId::index) {
+            if let Some(pi) = s.parent.map(flux_telemetry::SpanId::index) {
                 let p = &spans[pi];
                 assert_eq!(p.lane, s.lane, "child {} crosses lanes", s.name);
                 assert!(
