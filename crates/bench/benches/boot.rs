@@ -3,6 +3,11 @@
 //! home running all 16 migratable Table 3 apps, and the `verify_app` pass
 //! every migration's transfer stage makes.
 //!
+//! A process boots each profile once and starts every later device of it
+//! as a copy of that boot, so after its first iteration an `add_device`
+//! row times the copy, which is what every device after the first of its
+//! profile costs.
+//!
 //! Devices mount a shared `/system` image and an unwritten pairing mounts
 //! a stored mirror, so `pair_16_apps_n4_to_n7_2013` measures that shared
 //! path. `pair_16_apps_written_system` first writes one file under the

@@ -14,7 +14,7 @@ fn build_kernel() -> (Kernel, flux_simcore::Pid) {
             .create_node(
                 sys,
                 flux_binder::NodeKind::Service {
-                    descriptor: format!("I{name}"),
+                    descriptor: format!("I{name}").into(),
                 },
             )
             .unwrap();

@@ -2,7 +2,9 @@
 //!
 //! Wraps a [`flux_journal::ServiceCore`] — write-ahead journal, snapshots,
 //! crash recovery — and serves the line protocol to concurrent observers
-//! over TCP (std only, no async runtime) and on stdin. Killing the process
+//! over TCP (std only, no async runtime) and on stdin. Without `--listen`
+//! the process ends with its stdin session; with it, the process keeps
+//! serving TCP after stdin closes, until it is killed. Killing the process
 //! at any instant and restarting it recovers byte-identical state; that is
 //! the journal crate's contract, and `bench-service` kills it on a matrix
 //! of offsets to prove it.
@@ -128,7 +130,7 @@ fn main() {
     );
     let core = Arc::new(Mutex::new(core));
 
-    if let Some(addr) = listen {
+    let accept = listen.map(|addr| {
         let listener = match TcpListener::bind(&addr) {
             Ok(l) => l,
             Err(e) => {
@@ -144,9 +146,18 @@ fn main() {
                 let core = Arc::clone(&tcp_core);
                 std::thread::spawn(move || serve_connection(&core, stream));
             }
-        });
-    }
+        })
+    });
 
     // The controlling session: same protocol on stdin/stdout.
     serve(&core, std::io::stdin().lock(), std::io::stdout());
+
+    // With a listener, the end of the stdin session does not end the
+    // service: TCP is served until the process is killed, and a panic in
+    // the accept loop ends the process with it.
+    if let Some(accept) = accept {
+        if let Err(panic) = accept.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }

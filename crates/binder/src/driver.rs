@@ -10,6 +10,7 @@
 use crate::error::BinderError;
 use crate::parcel::{ObjRef, Parcel, Value};
 use flux_simcore::{IdAlloc, Pid, Uid};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Identifier of a Binder node (the service side of a connection).
@@ -25,8 +26,10 @@ pub enum NodeKind {
     /// A node backing a long-running service object (dispatched by a
     /// service host). `descriptor` is the AIDL interface name.
     Service {
-        /// AIDL interface descriptor.
-        descriptor: String,
+        /// AIDL interface descriptor. A service borrows its `&'static`
+        /// name; a connection object such as `ISensorEventConnection#3`
+        /// owns its own.
+        descriptor: Cow<'static, str>,
     },
     /// A node private to an app (callbacks, listeners, internal Binders).
     AppLocal {
@@ -143,7 +146,7 @@ pub struct RoutedTransaction {
     /// The process that owns the target node.
     pub target: Pid,
     /// Interface descriptor if the node is a service.
-    pub descriptor: Option<String>,
+    pub descriptor: Option<Cow<'static, str>>,
     /// Sender PID.
     pub from: Pid,
     /// Sender UID.
@@ -161,7 +164,7 @@ pub struct BinderDriver {
     nodes: BTreeMap<NodeId, Node>,
     tables: BTreeMap<Pid, HandleTable>,
     uids: BTreeMap<Pid, Uid>,
-    registry: BTreeMap<String, NodeId>,
+    registry: BTreeMap<Cow<'static, str>, NodeId>,
     node_ids: IdAlloc,
     /// Total transactions routed, for overhead accounting.
     pub transactions: u64,
@@ -304,14 +307,19 @@ impl BinderDriver {
     ///
     /// Real Android leaves permission checks to the service itself; the
     /// registry only refuses duplicate names.
-    pub fn add_service(&mut self, name: &str, node: NodeId) -> Result<(), BinderError> {
+    pub fn add_service(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        node: NodeId,
+    ) -> Result<(), BinderError> {
+        let name = name.into();
         if !self.nodes.contains_key(&node) {
             return Err(BinderError::DeadNode { node });
         }
-        if self.registry.contains_key(name) {
+        if self.registry.contains_key(&name) {
             return Err(BinderError::ServiceExists { name: name.into() });
         }
-        self.registry.insert(name.to_owned(), node);
+        self.registry.insert(name, node);
         Ok(())
     }
 
@@ -335,12 +343,12 @@ impl BinderDriver {
         self.registry
             .iter()
             .find(|(_, n)| **n == node)
-            .map(|(name, _)| name.as_str())
+            .map(|(name, _)| name.as_ref())
     }
 
     /// All registered service names, sorted.
     pub fn list_services(&self) -> Vec<&str> {
-        self.registry.keys().map(String::as_str).collect()
+        self.registry.keys().map(AsRef::as_ref).collect()
     }
 
     /// Routes a transaction from `from` through `handle`, translating any

@@ -114,7 +114,7 @@ pub fn capture(driver: &BinderDriver, pid: Pid) -> Result<SavedBinderState, Bind
         .iter()
         .map(|n| SavedNode {
             label: match &n.kind {
-                NodeKind::Service { descriptor } => descriptor.clone(),
+                NodeKind::Service { descriptor } => descriptor.to_string(),
                 NodeKind::AppLocal { label } => label.clone(),
             },
             registered_name: driver.service_name_of(n.id).map(str::to_owned),
@@ -150,7 +150,7 @@ pub fn capture(driver: &BinderDriver, pid: Pid) -> Result<SavedBinderState, Bind
             // handed out by a service (SensorEventConnection and friends).
             SavedTarget::SystemConnection {
                 descriptor: match &node.kind {
-                    NodeKind::Service { descriptor } => descriptor.clone(),
+                    NodeKind::Service { descriptor } => descriptor.to_string(),
                     NodeKind::AppLocal { label } => label.clone(),
                 },
             }
@@ -160,7 +160,7 @@ pub fn capture(driver: &BinderDriver, pid: Pid) -> Result<SavedBinderState, Bind
                     "anonymous node owned by {} ({})",
                     node.owner,
                     match &node.kind {
-                        NodeKind::Service { descriptor } => descriptor.clone(),
+                        NodeKind::Service { descriptor } => descriptor.to_string(),
                         NodeKind::AppLocal { label } => label.clone(),
                     }
                 ),
@@ -282,7 +282,7 @@ mod tests {
                 .create_node(
                     system,
                     NodeKind::Service {
-                        descriptor: format!("I{name}"),
+                        descriptor: format!("I{name}").into(),
                     },
                 )
                 .unwrap();
@@ -348,7 +348,7 @@ mod tests {
                 .create_node(
                     gsys,
                     NodeKind::Service {
-                        descriptor: format!("I{name}"),
+                        descriptor: format!("I{name}").into(),
                     },
                 )
                 .unwrap();

@@ -23,7 +23,7 @@ use flux_telemetry::{LaneId, Telemetry};
 use flux_workloads::{Action, AppSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifies a device within a [`FluxWorld`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -177,23 +177,77 @@ pub struct FluxWorld {
     pub devices: Vec<Device>,
 }
 
-impl FluxWorld {
-    /// Boots a device: kernel, system services, system partition.
-    pub fn add_device(
-        &mut self,
-        name: &str,
-        profile: DeviceProfile,
-    ) -> Result<DeviceId, FluxError> {
+/// A device as it stands right after boot, before it runs anything: the
+/// kernel with `system_server` and its service nodes, the service host,
+/// the filesystem with `/system` mounted, and the cost model.
+#[derive(Clone)]
+struct BootedStack {
+    profile: Arc<DeviceProfile>,
+    kernel: Kernel,
+    host: ServiceHost,
+    fs: SimFs,
+    cost: CostModel,
+}
+
+/// Every device stack booted so far in this process, one per profile.
+static BOOTED: Mutex<Vec<BootedStack>> = Mutex::new(Vec::new());
+
+impl BootedStack {
+    /// Boots `profile`'s stack in full.
+    fn boot(profile: DeviceProfile) -> Result<Self, WorldError> {
         let mut kernel = Kernel::new(&profile.kernel_version);
         let host = boot_android(&mut kernel, &Device::services_config(&profile))
             .map_err(WorldError::Boot)?;
         let mut fs = SimFs::new();
         flux_device::populate_system(&mut fs, &profile);
         let cost = CostModel::reference().scaled(profile.cpu_scale);
+        Ok(Self {
+            profile: Arc::new(profile),
+            kernel,
+            host,
+            fs,
+            cost,
+        })
+    }
+
+    /// A freshly booted stack for `profile`. The first device of a profile
+    /// boots it and stores it; every later one gets a copy of the stored
+    /// stack, which equals a fresh boot: a boot reads nothing but the
+    /// profile, and a fresh kernel always numbers pids from 100 and Binder
+    /// nodes from 1. The copy shares the profile and the `/system` image
+    /// and owns everything a device may change.
+    fn of(profile: DeviceProfile) -> Result<Self, WorldError> {
+        // Every update is one push, so the list stays valid after a panic.
+        let mut booted = BOOTED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(stack) = booted.iter().find(|s| *s.profile == profile) {
+            return Ok(stack.clone());
+        }
+        let stack = Self::boot(profile)?;
+        booted.push(stack.clone());
+        Ok(stack)
+    }
+}
+
+impl FluxWorld {
+    /// Boots a device: kernel, system services, system partition. Only the
+    /// first device of a profile in this process runs the boot; later ones
+    /// start as a copy of it.
+    pub fn add_device(
+        &mut self,
+        name: &str,
+        profile: DeviceProfile,
+    ) -> Result<DeviceId, FluxError> {
+        let BootedStack {
+            profile,
+            kernel,
+            host,
+            fs,
+            cost,
+        } = BootedStack::of(profile)?;
         let lane = self.telemetry.lane(name);
         self.devices.push(Device {
             name: name.to_owned(),
-            profile: Arc::new(profile),
+            profile,
             kernel,
             host,
             fs,
@@ -839,4 +893,102 @@ pub(crate) fn fnv(s: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::WorldBuilder;
+
+    fn profiles() -> [DeviceProfile; 4] {
+        let mut no_gps = DeviceProfile::nexus7_2013();
+        no_gps.hardware.gps = false;
+        [
+            DeviceProfile::nexus4(),
+            DeviceProfile::nexus7_2012(),
+            DeviceProfile::nexus7_2013(),
+            no_gps,
+        ]
+    }
+
+    fn empty_world() -> FluxWorld {
+        WorldBuilder::new().build().unwrap().0
+    }
+
+    fn files(fs: &SimFs) -> Vec<(String, flux_fs::FileEntry)> {
+        fs.list("")
+            .map(|(p, e)| (p.into_owned(), e.clone()))
+            .collect()
+    }
+
+    /// Asserts that `dev` stands exactly as a fresh boot of its profile
+    /// leaves a device: booted here in full, as `add_device` boots
+    /// the first device of a profile.
+    fn assert_freshly_booted(dev: &Device) {
+        let profile = &*dev.profile;
+        let mut kernel = Kernel::new(&profile.kernel_version);
+        let host = boot_android(&mut kernel, &Device::services_config(profile)).unwrap();
+        let mut fs = SimFs::new();
+        flux_device::populate_system(&mut fs, profile);
+        let model = profile.model;
+        assert_eq!(
+            format!("{:?}", dev.kernel),
+            format!("{kernel:?}"),
+            "{model}"
+        );
+        assert_eq!(format!("{:?}", dev.host), format!("{host:?}"), "{model}");
+        assert_eq!(files(&dev.fs), files(&fs), "{model}");
+        assert_eq!(dev.cost, CostModel::reference().scaled(profile.cpu_scale));
+    }
+
+    /// A later device of a profile, which starts as a copy of the stored
+    /// boot, equals a fresh boot, and every device of the profile shares
+    /// one profile. A GPS-less Nexus 7 (2013) is a profile of its own.
+    #[test]
+    fn a_later_device_equals_a_fresh_boot() {
+        for profile in profiles() {
+            let mut world = empty_world();
+            let first = world.add_device("first", profile.clone()).unwrap();
+            let second = world.add_device("second", profile.clone()).unwrap();
+            let second = world.device(second).unwrap();
+            assert_eq!(*second.profile, profile);
+            assert_freshly_booted(second);
+            let first = world.device(first).unwrap();
+            assert!(Arc::ptr_eq(&first.profile, &second.profile));
+        }
+    }
+
+    /// Deploying and running an app on one device leaves no package,
+    /// process, handle table or file on a later device of its profile, in
+    /// the same world or another.
+    #[test]
+    fn a_later_device_holds_nothing_an_earlier_one_ran() {
+        let profile = DeviceProfile::nexus4();
+        let app = flux_workloads::top_apps()
+            .into_iter()
+            .find(|a| !a.multi_process)
+            .unwrap();
+        let mut world = empty_world();
+        let first = world.add_device("first", profile.clone()).unwrap();
+        world.deploy(first, &app).unwrap();
+        world.run_script(first, &app.package, &app.actions).unwrap();
+        let pid = world.device(first).unwrap().apps[&app.package].main_pid;
+        let apk = format!("/data/app/{}.apk", app.package);
+        assert!(world.device(first).unwrap().fs.exists(&apk));
+
+        let later = world.add_device("later", profile.clone()).unwrap();
+        let mut other = empty_world();
+        let elsewhere = other.add_device("elsewhere", profile).unwrap();
+        for dev in [
+            world.device(later).unwrap(),
+            other.device(elsewhere).unwrap(),
+        ] {
+            let packages = dev.host.service::<PackageManagerService>("package");
+            assert!(packages.unwrap().package(&app.package).is_none());
+            assert_eq!(dev.kernel.process_count(), 1);
+            assert!(dev.kernel.binder.handle_table(pid).is_err());
+            assert!(!dev.fs.exists(&apk));
+            assert_freshly_booted(dev);
+        }
+    }
 }

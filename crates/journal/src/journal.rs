@@ -349,12 +349,10 @@ pub fn read_stream(dir: &Path) -> Result<Vec<u8>, JournalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("flux-journal-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp_dir(tag: &str) -> TestDir {
+        TestDir::new("journal", tag)
     }
 
     fn open(dir: &Path, segment_bytes: u64) -> Recovered {
@@ -383,7 +381,6 @@ mod tests {
         assert_eq!(rec.events[7], b"event-7");
         assert_eq!(rec.journal.next_seq(), 10);
         assert_eq!(rec.truncated_bytes, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -404,7 +401,6 @@ mod tests {
         );
         assert_eq!(rec.events.len(), 8);
         assert_eq!(rec.events[5], b"payload-5");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -438,8 +434,6 @@ mod tests {
         assert!(segments(&all).len() > 2, "expected the group to rotate");
         assert_eq!(segments(&all), segments(&one));
         assert_eq!(open(&all, 40).events.len(), 10);
-        std::fs::remove_dir_all(&one).unwrap();
-        std::fs::remove_dir_all(&all).unwrap();
     }
 
     #[test]
@@ -472,9 +466,7 @@ mod tests {
             let mut j = again.journal;
             let seq = j.append(b"after-recovery").unwrap();
             assert_eq!(seq, rec.events.len() as u64);
-            std::fs::remove_dir_all(&work).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -496,7 +488,6 @@ mod tests {
         let rec = open(&dir, 1 << 20);
         assert_eq!(rec.events.len(), 2);
         assert!(rec.truncated_bytes > 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn copy_dir(from: &Path, to: &Path) {

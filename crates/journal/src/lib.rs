@@ -47,6 +47,9 @@ pub mod service;
 pub mod snapshot;
 pub mod wire;
 
+#[cfg(test)]
+mod test_dir;
+
 pub use event::{RequestSpec, ScenarioSpec, WorldEvent};
 pub use journal::{Journal, JournalConfig, JournalError, Recovered};
 pub use protocol::{handle_line_shared, Response};

@@ -189,12 +189,13 @@ pub fn handle_line_shared(core: &Arc<Mutex<ServiceCore>>, line: &str) -> Respons
 mod tests {
     use super::*;
     use crate::journal::JournalConfig;
+    use crate::test_dir::TestDir;
     use crate::{ScenarioSpec, ServiceConfig};
 
-    fn svc(tag: &str) -> (Arc<Mutex<ServiceCore>>, std::path::PathBuf) {
-        let root =
-            std::env::temp_dir().join(format!("flux-protocol-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+    /// A service in a fresh root. The root comes first so that, bound
+    /// first, it drops after the service.
+    fn svc(tag: &str) -> (TestDir, Arc<Mutex<ServiceCore>>) {
+        let root = TestDir::new("protocol", tag);
         let spec = ScenarioSpec {
             seed: 0xAB,
             pairs: 1,
@@ -209,12 +210,12 @@ mod tests {
             },
         };
         let core = ServiceCore::open(&root, spec, cfg).unwrap();
-        (Arc::new(Mutex::new(core)), root)
+        (root, Arc::new(Mutex::new(core)))
     }
 
     #[test]
     fn full_session_flows() {
-        let (core, root) = svc("session");
+        let (_root, core) = svc("session");
         assert_eq!(
             handle_line_shared(&core, "SUBMIT 1 0 WhatsApp"),
             Response::Line("OK acked".into())
@@ -246,12 +247,11 @@ mod tests {
             Response::Blob(_)
         ));
         assert!(handle_line_shared(&core, "QUIT").is_quit());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn malformed_commands_are_errors_not_panics() {
-        let (core, root) = svc("malformed");
+        let (_root, core) = svc("malformed");
         for bad in [
             "",
             "NOPE",
@@ -268,7 +268,6 @@ mod tests {
                 "{bad:?} should be an ERR, got {resp:?}"
             );
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// The satellite regression: `STATUS` (and any other observer) must be
@@ -278,7 +277,7 @@ mod tests {
     /// path uses: begin under the lock, observe, execute + install.
     #[test]
     fn status_answers_while_a_batch_is_in_flight() {
-        let (core, root) = svc("inflight");
+        let (_root, core) = svc("inflight");
         handle_line_shared(&core, "SUBMIT 1 0 WhatsApp");
         handle_line_shared(&core, "SUBMIT 2 0 Browser");
 
@@ -306,7 +305,6 @@ mod tests {
         );
         let status = handle_line_shared(&core, "STATUS");
         assert!(matches!(&status, Response::Line(l) if l.contains("batches=1")));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// The shared path must produce byte-identical durable state to a
@@ -323,7 +321,7 @@ mod tests {
             "STEP",
             "STEP",
         ];
-        let (exclusive, root_a) = svc("shared-a");
+        let (_root_a, exclusive) = svc("shared-a");
         for line in script {
             if line == "STEP" {
                 exclusive.lock().unwrap().step_batch().unwrap();
@@ -331,7 +329,7 @@ mod tests {
                 handle_line_shared(&exclusive, line);
             }
         }
-        let (shared, root_b) = svc("shared-b");
+        let (_root_b, shared) = svc("shared-b");
         for line in script {
             handle_line_shared(&shared, line);
         }
@@ -340,8 +338,6 @@ mod tests {
             shared.lock().unwrap().state_json(),
             "shared and exclusive STEP paths must converge byte-identically"
         );
-        std::fs::remove_dir_all(&root_a).unwrap();
-        std::fs::remove_dir_all(&root_b).unwrap();
     }
 
     /// Real threads: a STEP on one thread, STATUS probes on another. A
@@ -352,7 +348,7 @@ mod tests {
     /// prober, so batches repeat until a probe sees one in flight.
     #[test]
     fn threaded_status_probe_does_not_queue_behind_step() {
-        let (core, root) = svc("threaded");
+        let (_root, core) = svc("threaded");
         let in_flight = (0..200u64).any(|n| {
             for i in 0..6 {
                 handle_line_shared(&core, &format!("SUBMIT {} 0 WhatsApp", n * 6 + i));
@@ -382,12 +378,11 @@ mod tests {
             in_flight,
             "no STATUS probe saw a batch in flight in 200 batches: STEP holds the core lock while it executes"
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn blob_wire_format_is_length_prefixed() {
-        let (core, root) = svc("wire");
+        let (_root, core) = svc("wire");
         handle_line_shared(&core, "SUBMIT 1 0 WhatsApp");
         handle_line_shared(&core, "STEP");
         let resp = handle_line_shared(&core, "REPORT 0");
@@ -397,6 +392,5 @@ mod tests {
         let (header, rest) = text.split_once('\n').unwrap();
         let len: usize = header.strip_prefix("OK ").unwrap().parse().unwrap();
         assert_eq!(rest.len(), len + 1, "body plus trailing newline");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

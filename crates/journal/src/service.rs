@@ -773,12 +773,10 @@ fn build_world(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
-    fn tmp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("flux-service-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp_root(tag: &str) -> TestDir {
+        TestDir::new("service", tag)
     }
 
     fn tiny_spec() -> ScenarioSpec {
@@ -824,7 +822,6 @@ mod tests {
         assert!(!record.chrome_trace.is_empty());
         assert!(svc.pending_ids().is_empty());
         assert!(svc.step_batch().unwrap().is_none());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -842,7 +839,6 @@ mod tests {
         assert_eq!(svc.state_json(), baseline);
         assert_eq!(svc.recovery().truncated_bytes, 0);
         assert_eq!(svc.pending_ids(), vec![3]);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -860,7 +856,6 @@ mod tests {
         assert_eq!(svc.state_json(), baseline);
         let snap = svc.recovery().snapshot_events.expect("snapshot used");
         assert!(snap > 0);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -886,7 +881,6 @@ mod tests {
         assert_eq!(again.state_json(), baseline);
         assert_eq!(again.recovery().truncated_bytes, 0);
         assert_eq!(again.recovery().reissued_audits, 0);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Durable state must serialize independently of in-memory insertion
@@ -906,7 +900,6 @@ mod tests {
             let pending = svc.pending_ids();
             svc.step_batch().unwrap();
             let state = svc.state_json();
-            std::fs::remove_dir_all(&root).unwrap();
             (pending, state)
         };
         let (pending_fwd, state_fwd) = run(&[1, 2, 3, 4]);
@@ -930,6 +923,5 @@ mod tests {
         ));
         assert_eq!(svc.journaled_events(), before);
         assert!(!svc.is_acked(9));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -121,12 +121,10 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("flux-snapshot-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp_dir(tag: &str) -> TestDir {
+        TestDir::new("snapshot", tag)
     }
 
     #[test]
@@ -137,7 +135,6 @@ mod tests {
         store.write(12, b"state-at-12").unwrap();
         let (count, payload) = store.newest_valid(u64::MAX).unwrap().unwrap();
         assert_eq!((count, payload.as_slice()), (12, &b"state-at-12"[..]));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -151,7 +148,6 @@ mod tests {
         let (count, payload) = store.newest_valid(8).unwrap().unwrap();
         assert_eq!((count, payload.as_slice()), (5, &b"old"[..]));
         assert!(store.newest_valid(3).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -167,7 +163,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (count, _) = store.newest_valid(u64::MAX).unwrap().unwrap();
         assert_eq!(count, 5);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -184,7 +179,6 @@ mod tests {
                 "cut at {cut} should invalidate the snapshot"
             );
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -196,6 +190,5 @@ mod tests {
         }
         store.prune(2).unwrap();
         assert_eq!(store.list().unwrap(), vec![9, 12]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -800,7 +800,7 @@ mod tests {
                 .create_node(
                     sys,
                     NodeKind::Service {
-                        descriptor: format!("I{name}"),
+                        descriptor: format!("I{name}").into(),
                     },
                 )
                 .unwrap();
@@ -843,7 +843,7 @@ mod tests {
                 .create_node(
                     sys,
                     NodeKind::Service {
-                        descriptor: format!("I{name}"),
+                        descriptor: format!("I{name}").into(),
                     },
                 )
                 .unwrap();

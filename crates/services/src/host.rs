@@ -24,11 +24,12 @@ pub struct DispatchResult {
 }
 
 /// Hosts the system services of one device.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ServiceHost {
     services: Vec<Box<dyn SystemService>>,
     by_node: BTreeMap<NodeId, usize>,
-    by_name: BTreeMap<String, usize>,
+    /// Keyed by each service's `registry_name`.
+    by_name: BTreeMap<&'static str, usize>,
     interfaces: &'static BTreeMap<String, CompiledInterface>,
     /// PID of the `system_server` process hosting every service.
     pub system_pid: Pid,
@@ -58,13 +59,13 @@ impl ServiceHost {
         let node = kernel.binder.create_node(
             self.system_pid,
             NodeKind::Service {
-                descriptor: service.descriptor().to_owned(),
+                descriptor: service.descriptor().into(),
             },
         )?;
         kernel.binder.add_service(service.registry_name(), node)?;
         let idx = self.services.len();
         self.by_node.insert(node, idx);
-        self.by_name.insert(service.registry_name().to_owned(), idx);
+        self.by_name.insert(service.registry_name(), idx);
         self.services.push(service);
         Ok(node)
     }
@@ -147,7 +148,7 @@ impl ServiceHost {
                 .by_node
                 .get(&routed.node)
                 .ok_or_else(|| BinderError::TransactionFailed {
-                    interface: routed.descriptor.clone().unwrap_or_default(),
+                    interface: routed.descriptor.as_deref().unwrap_or_default().to_owned(),
                     method: method.to_owned(),
                     reason: "node is not hosted by the service host".into(),
                 })?;
@@ -155,10 +156,10 @@ impl ServiceHost {
         // target is a primary service node (connection sub-objects have
         // dynamic descriptors and validate inside the service).
         if let Some(desc) = &routed.descriptor {
-            if let Some(iface) = self.interfaces.get(desc) {
+            if let Some(iface) = self.interfaces.get(desc.as_ref()) {
                 if !iface.has_method(method) {
                     return Err(BinderError::TransactionFailed {
-                        interface: desc.clone(),
+                        interface: desc.to_string(),
                         method: method.to_owned(),
                         reason: "unknown method".into(),
                     });
@@ -228,6 +229,6 @@ impl ServiceHost {
 
     /// Registry names of all hosted services, in registration order.
     pub fn names(&self) -> Vec<&str> {
-        self.by_name.keys().map(String::as_str).collect()
+        self.by_name.keys().copied().collect()
     }
 }

@@ -5,6 +5,7 @@ use flux_binder::{BinderError, NodeId, Parcel};
 use flux_kernel::Kernel;
 use flux_simcore::{Pid, SimTime, Uid};
 use std::any::Any;
+use std::borrow::Cow;
 
 /// Context handed to a service for one transaction.
 ///
@@ -44,11 +45,14 @@ impl ServiceCtx<'_> {
 
     /// Creates a connection node owned by the service process and records
     /// it for binding to this service.
-    pub fn create_connection_node(&mut self, descriptor: &str) -> Result<NodeId, BinderError> {
+    pub fn create_connection_node(
+        &mut self,
+        descriptor: impl Into<Cow<'static, str>>,
+    ) -> Result<NodeId, BinderError> {
         let node = self.kernel.binder.create_node(
             self.service_pid,
             flux_binder::NodeKind::Service {
-                descriptor: descriptor.to_owned(),
+                descriptor: descriptor.into(),
             },
         )?;
         self.new_service_nodes.push(node);
@@ -69,8 +73,10 @@ impl ServiceCtx<'_> {
 ///
 /// Services are dispatched *by method name* at the AIDL level — the same
 /// level Selective Record interposes on — rather than by raw transaction
-/// code; the compiled interface provides the name↔code mapping.
-pub trait SystemService: std::fmt::Debug + Send {
+/// code; the compiled interface provides the name↔code mapping. Every
+/// service is `Clone`, so a booted host can be copied
+/// ([`CloneService`]).
+pub trait SystemService: std::fmt::Debug + Send + CloneService {
     /// AIDL interface descriptor, e.g. `"INotificationManager"`.
     fn descriptor(&self) -> &'static str;
 
@@ -96,4 +102,23 @@ pub trait SystemService: std::fmt::Debug + Send {
 
     /// Mutable downcast support.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// Clones a service behind its trait object; implemented for every
+/// `Clone` service.
+pub trait CloneService {
+    /// A boxed copy of the service.
+    fn clone_box(&self) -> Box<dyn SystemService>;
+}
+
+impl<T: SystemService + Clone + 'static> CloneService for T {
+    fn clone_box(&self) -> Box<dyn SystemService> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn SystemService> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }

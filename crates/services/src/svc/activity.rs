@@ -35,7 +35,7 @@ pub struct ServiceRecord {
 }
 
 /// The activity-manager state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ActivityManagerService {
     receivers: Vec<ReceiverRecord>,
     services: BTreeMap<(Uid, String), ServiceRecord>,

@@ -30,7 +30,7 @@ pub struct AlarmRecord {
 }
 
 /// The alarm service state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct AlarmManagerService {
     by_operation: BTreeMap<(Uid, String), AlarmRecord>,
     by_cookie: BTreeMap<u64, (Uid, String)>,

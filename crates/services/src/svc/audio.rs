@@ -21,7 +21,7 @@ pub const STREAM_COUNT: usize = 10;
 pub const STREAM_MUSIC: i32 = 3;
 
 /// The audio service state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AudioService {
     max_volume: i32,
     volumes: [i32; STREAM_COUNT],

@@ -7,7 +7,7 @@ use std::any::Any;
 use std::collections::BTreeSet;
 
 /// The clipboard state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ClipboardService {
     clip: Option<Vec<u8>>,
     listeners: BTreeSet<(Uid, String)>,

@@ -11,7 +11,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 /// The connectivity service state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ConnectivityManagerService {
     connected: bool,
     network_type: i32,

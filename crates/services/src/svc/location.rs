@@ -24,7 +24,7 @@ pub struct LocationRequest {
 }
 
 /// The location service state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LocationManagerService {
     has_gps: bool,
     requests: BTreeMap<(Uid, String), LocationRequest>,

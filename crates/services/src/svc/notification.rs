@@ -27,7 +27,7 @@ pub struct NotificationRecord {
 type Key = (Uid, Option<String>, i32);
 
 /// The notification service state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct NotificationManagerService {
     active: BTreeMap<Key, NotificationRecord>,
     enabled: BTreeMap<(String, u32), bool>,

@@ -32,7 +32,7 @@ pub struct PackageRecord {
 }
 
 /// The package-manager state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PackageManagerService {
     packages: BTreeMap<String, PackageRecord>,
     next_app_uid: u32,

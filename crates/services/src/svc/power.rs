@@ -9,7 +9,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 /// The power service state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PowerManagerService {
     /// App-held wakelocks: (uid, lock token) → kernel lock name.
     locks: BTreeMap<(Uid, String), String>,

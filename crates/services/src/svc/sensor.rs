@@ -30,7 +30,7 @@ pub struct Connection {
 }
 
 /// The sensor service state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SensorService {
     sensors: Vec<String>,
     connections: BTreeMap<NodeId, Connection>,
@@ -120,7 +120,7 @@ impl SystemService for SensorService {
                 let conn_id = self.next_conn;
                 self.next_conn += 1;
                 let node =
-                    ctx.create_connection_node(&format!("ISensorEventConnection#{conn_id}"))?;
+                    ctx.create_connection_node(format!("ISensorEventConnection#{conn_id}"))?;
                 self.connections.insert(
                     node,
                     Connection {

@@ -15,7 +15,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 /// The generic service.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SimpleService {
     descriptor: &'static str,
     name: &'static str,

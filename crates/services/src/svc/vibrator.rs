@@ -17,7 +17,7 @@ pub struct Vibration {
 }
 
 /// The vibrator service state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct VibratorService {
     has_vibrator: bool,
     current: Option<Vibration>,

@@ -7,7 +7,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 /// The wifi service state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WifiService {
     enabled: bool,
     networks: BTreeMap<i32, (Uid, String)>,

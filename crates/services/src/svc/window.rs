@@ -25,7 +25,7 @@ pub struct WindowRecord {
 }
 
 /// The window-manager state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WindowManagerService {
     windows: BTreeMap<(Uid, String), WindowRecord>,
     screen: (u32, u32),

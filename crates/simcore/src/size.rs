@@ -105,11 +105,17 @@ impl AddAssign for ByteSize {
     }
 }
 
+/// Panics if `rhs` is larger than `self`, printing both; a caller that
+/// means zero says so with [`ByteSize::saturating_sub`].
 impl Sub for ByteSize {
     type Output = ByteSize;
 
+    #[track_caller]
     fn sub(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_sub(rhs.0))
+        match self.0.checked_sub(rhs.0) {
+            Some(bytes) => ByteSize(bytes),
+            None => panic!("ByteSize underflow: {self:?} - {rhs:?}"),
+        }
     }
 }
 
@@ -160,9 +166,19 @@ mod tests {
     #[test]
     fn subtraction_saturates() {
         assert_eq!(
-            ByteSize::from_kib(1) - ByteSize::from_mib(1),
+            ByteSize::from_kib(1).saturating_sub(ByteSize::from_mib(1)),
             ByteSize::ZERO
         );
+        assert_eq!(
+            ByteSize::from_mib(1) - ByteSize::from_kib(1),
+            ByteSize::from_kib(1023)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ByteSize underflow: ByteSize(1024) - ByteSize(1048576)")]
+    fn subtraction_panics_on_underflow() {
+        let _ = ByteSize::from_kib(1) - ByteSize::from_mib(1);
     }
 
     #[test]

@@ -78,9 +78,15 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Time elapsed since `earlier`, saturating to zero if `earlier` is later.
+    /// Time elapsed since `earlier`.
+    ///
+    /// # Panics
+    ///
+    /// If `earlier` is later than `self`, printing both: virtual time
+    /// never runs backwards, so a negative span is a bug, not a zero.
+    #[track_caller]
     pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
+        self - earlier
     }
 }
 
@@ -148,11 +154,17 @@ impl AddAssign<SimDuration> for SimTime {
     }
 }
 
+/// Panics if `rhs` is later than `self`, printing both; see
+/// [`SimTime::since`].
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[track_caller]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
+        match self.0.checked_sub(rhs.0) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimTime underflow: {self:?} - {rhs:?}"),
+        }
     }
 }
 
@@ -275,7 +287,21 @@ mod tests {
         let d = SimDuration::from_millis(250);
         assert_eq!((t + d).as_millis(), 1_750);
         assert_eq!((t + d) - t, d);
-        assert_eq!(t.since(t + d), SimDuration::ZERO);
+        assert_eq!((t + d).since(t), d);
+        assert_eq!(t.since(t), SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime underflow: SimTime(1500000000) - SimTime(1750000000)")]
+    fn since_panics_when_earlier_is_later() {
+        let t = SimTime::from_millis(1_500);
+        let _ = t.since(t + SimDuration::from_millis(250));
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime underflow")]
+    fn time_subtraction_panics_on_underflow() {
+        let _ = SimTime::ZERO - SimTime::from_nanos(1);
     }
 
     #[test]

@@ -229,7 +229,7 @@ pub fn kernel_with_services(version: &str) -> Kernel {
             .create_node(
                 sys,
                 NodeKind::Service {
-                    descriptor: format!("I{name}"),
+                    descriptor: format!("I{name}").into(),
                 },
             )
             .unwrap();
